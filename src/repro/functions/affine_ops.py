@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Union
 
-from repro.geometry.model import Coordinate, Geometry
+from repro.geometry.model import Coordinate, Geometry, _to_ordinate
 
 Numeric = Union[int, float, Fraction]
 
@@ -30,9 +30,11 @@ def affine_transform(
     """Apply the 2D affine map ``(x, y) -> (a x + b y + xoff, d x + e y + yoff)``.
 
     Parameter names follow PostGIS ``ST_Affine(geom, a, b, d, e, xoff, yoff)``.
+    Parameters are normalised like ordinates, so an integer matrix maps
+    ``int`` ordinates with ``int`` arithmetic.
     """
-    a, b, d, e = Fraction(a), Fraction(b), Fraction(d), Fraction(e)
-    x_offset, y_offset = Fraction(x_offset), Fraction(y_offset)
+    a, b, d, e = _to_ordinate(a), _to_ordinate(b), _to_ordinate(d), _to_ordinate(e)
+    x_offset, y_offset = _to_ordinate(x_offset), _to_ordinate(y_offset)
 
     def mapper(coordinate: Coordinate) -> Coordinate:
         return Coordinate(

@@ -45,7 +45,7 @@ def project_point_on_segment(p: Coordinate, a: Coordinate, b: Coordinate) -> Coo
     ap_x = p.x - a.x
     ap_y = p.y - a.y
     denom = ab_x * ab_x + ab_y * ab_y
-    t = (ap_x * ab_x + ap_y * ab_y) / denom
+    t = Fraction(ap_x * ab_x + ap_y * ab_y, denom)
     if t <= 0:
         return a
     if t >= 1:

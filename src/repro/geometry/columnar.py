@@ -1,11 +1,14 @@
 """Float-filtered columnar kernels for the vectorized batch execution core.
 
 The topology engine (:mod:`repro.topology`) decides every predicate exactly
-over :class:`fractions.Fraction` ordinates.  That exactness is the whole
-point of the reproduction — the oracle must never blame a rounding artefact
-on the engine under test — but Fraction arithmetic pays a gcd normalisation
-per operation, and profiling shows point location and pairwise segment
-screening dominating campaign time.
+over exact ordinates: ``int`` when integral, :class:`fractions.Fraction`
+otherwise, with every division over ordinates going through ``Fraction``.
+That exactness is the whole point of the reproduction — the oracle must
+never blame a rounding artefact on the engine under test — but exact
+arithmetic still costs far more than a float operation (big-integer
+products, and a gcd normalisation per ``Fraction`` operation), and
+profiling shows point location and pairwise segment screening dominating
+campaign time.
 
 This module speeds those paths up with the classic *filter-and-fallback*
 discipline of exact computational geometry (the semi-static filters of
@@ -16,7 +19,7 @@ Shewchuk-style predicates):
   propagating error bounds alongside the values;
 * a sign is trusted only when the magnitude *certainly* exceeds the
   accumulated bound; every uncertain entry falls back to the original exact
-  Fraction predicate.
+  predicate.
 
 The kernels therefore return results **identical** to their scalar
 counterparts — the float layer only prunes work, it never decides a close
@@ -147,6 +150,24 @@ def _mul(av, ae, bv, be):
 def _certain(values, bounds):
     """Boolean mask: the sign of each value is certain (NaN-safe)."""
     return abs(values) > bounds
+
+
+def _hits(mask):
+    """``(row, column)`` of every true entry of a 2D mask, row-major.
+
+    One ``np.nonzero`` per matrix instead of one per row; row-major order
+    keeps each row's columns ascending, the order a per-row scan visits.
+    """
+    rows, columns = np.nonzero(mask)
+    return zip(rows.tolist(), columns.tolist())
+
+
+def _hits_by_row(mask) -> list[list[int]]:
+    """Column indices of the true entries of a 2D mask, one list per row."""
+    grouped: list[list[int]] = [[] for _ in range(mask.shape[0])]
+    for row, column in _hits(mask):
+        grouped[row].append(column)
+    return grouped
 
 
 # ---------------------------------------------------------------------------
@@ -356,31 +377,33 @@ class RingLocator:
         # Under a certain straddle, b.y - a.y has the sign of d2 (= b.y - p.y).
         contributions = counted & ((crossv > 0) == (d2v > 0))
         parity_uncertain = ~straddle_known | (straddle_known & straddle & ~cross_certain)
-        counts = contributions.sum(axis=1)
+        parities = (contributions.sum(axis=1) & 1).tolist()
 
+        # Exact confirmations walk the hits of one np.nonzero per matrix in
+        # row-major order: per point, its candidate edges in ascending order.
         edges = table.edges
-        results: list[str] = []
-        for i, p in enumerate(points):
-            on_boundary = False
-            for j in np.nonzero(boundary_candidate[i])[0]:
-                _KERNEL_STATS["ring_exact_boundary_checks"] += 1
-                a, b = edges[j]
-                # Nodes frequently coincide with ring vertices: two exact
-                # equality tests are far cheaper than the orientation test.
-                if p == a or p == b or point_on_segment(p, a, b):
-                    on_boundary = True
-                    break
-            if on_boundary:
-                results.append("boundary")
+        on_boundary: set[int] = set()
+        for i, j in _hits(boundary_candidate):
+            if i in on_boundary:
                 continue
-            inside = int(counts[i]) & 1
-            for j in np.nonzero(parity_uncertain[i])[0]:
-                _KERNEL_STATS["ring_exact_crossing_checks"] += 1
-                a, b = edges[j]
-                if _exact_crossing(p, a, b):
-                    inside ^= 1
-            results.append("interior" if inside else "exterior")
-        return results
+            _KERNEL_STATS["ring_exact_boundary_checks"] += 1
+            p = points[i]
+            a, b = edges[j]
+            # Nodes frequently coincide with ring vertices: two exact
+            # equality tests are far cheaper than the orientation test.
+            if p == a or p == b or point_on_segment(p, a, b):
+                on_boundary.add(i)
+        for i, j in _hits(parity_uncertain):
+            if i in on_boundary:
+                continue
+            _KERNEL_STATS["ring_exact_crossing_checks"] += 1
+            a, b = edges[j]
+            if _exact_crossing(points[i], a, b):
+                parities[i] ^= 1
+        return [
+            "boundary" if i in on_boundary else "interior" if inside else "exterior"
+            for i, inside in enumerate(parities)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -414,16 +437,15 @@ class SegmentsLocator:
             # exact confirmations.
             candidate &= ~face_interior[:, None]
         segments = self._segments
-        results: list[bool] = []
-        for i, p in enumerate(points):
-            hit = False
-            for j in np.nonzero(candidate[i])[0]:
-                _KERNEL_STATS["segment_exact_checks"] += 1
-                a, b = segments[j]
-                if p == a or p == b or point_on_segment(p, a, b):
-                    hit = True
-                    break
-            results.append(hit)
+        results = [False] * len(points)
+        for i, j in _hits(candidate):
+            if results[i]:
+                continue
+            _KERNEL_STATS["segment_exact_checks"] += 1
+            p = points[i]
+            a, b = segments[j]
+            if p == a or p == b or point_on_segment(p, a, b):
+                results[i] = True
         return results
 
 
@@ -484,9 +506,9 @@ def segment_pair_candidates(
     np.fill_diagonal(reject, True)
     candidate = ~reject
     _KERNEL_STATS["noding_pairs_pruned"] += int(reject.sum()) - n
+    proper_rows = proper.tolist()
     return [
-        [(int(j), bool(proper[i, j])) for j in np.nonzero(row)[0]]
-        for i, row in enumerate(candidate)
+        [(j, proper_rows[i][j]) for j in row] for i, row in enumerate(_hits_by_row(candidate))
     ]
 
 
@@ -612,12 +634,8 @@ class ClearanceFilter:
             )
             bound = np.minimum(bound, positive_seg_hi.min(axis=1))
 
-        results: list[tuple[list[int], list[int]]] = []
-        for i in range(len(queries)):
-            keep_nodes = np.nonzero(~(node_lo[i] > bound[i]))[0].tolist()
-            keep_segments = np.nonzero(~(seg_lo[i] > bound[i]))[0].tolist()
-            results.append((keep_nodes, keep_segments))
-        return results
+        limit = bound[:, None]
+        return list(zip(_hits_by_row(~(node_lo > limit)), _hits_by_row(~(seg_lo > limit))))
 
 
 # ---------------------------------------------------------------------------

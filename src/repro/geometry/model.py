@@ -1,13 +1,19 @@
-"""OGC simple-feature geometry model with exact rational coordinates.
+"""OGC simple-feature geometry model with exact coordinates.
 
 The model covers the seven 2D geometry types the paper targets (Figure 2):
 POINT, LINESTRING, POLYGON, MULTIPOINT, MULTILINESTRING, MULTIPOLYGON and
 GEOMETRYCOLLECTION, including EMPTY variants of each.
 
-Coordinates are stored as :class:`fractions.Fraction` so every topological
-decision made downstream (DE-9IM relate, predicates) is exact.  Floats are
-accepted on input and converted exactly; WKT output renders integral values
-without a decimal point, matching the style of the paper's listings.
+Every ordinate is exact: an ``int`` when the value is integral, otherwise a
+:class:`fractions.Fraction` (see :func:`_to_ordinate`).  Every topological
+decision made downstream (DE-9IM relate, predicates) is therefore exact, and
+every division over ordinates goes through ``Fraction`` so ``int / int``
+never rounds through a float.  Integral ordinates are the common case — the
+generator emits integers and the paper's affine maps are integer matrices —
+and ``int`` arithmetic skips the gcd normalisation ``Fraction`` pays per
+operation.  Floats are accepted on input and converted exactly; WKT output
+renders integral values without a decimal point, matching the style of the
+paper's listings.
 """
 
 from __future__ import annotations
@@ -18,31 +24,44 @@ from typing import Iterable, Iterator, Sequence, Union
 from repro.errors import GeometryTypeError
 
 Numeric = Union[int, float, Fraction, str]
+#: an exact ordinate: ``int`` when integral, ``Fraction`` otherwise.
+Ordinate = Union[int, Fraction]
 
 
-def _to_fraction(value: Numeric) -> Fraction:
-    """Convert a numeric value to an exact Fraction."""
-    if isinstance(value, Fraction):
+def _to_ordinate(value: Numeric) -> Ordinate:
+    """Convert a numeric value to an exact ordinate.
+
+    Integral values (an ``int``, a ``Fraction`` with denominator 1, an
+    integral float or numeric string) become ``int``; every other value
+    becomes the exact ``Fraction``.
+    """
+    kind = type(value)
+    if kind is int:
         return value
+    if kind is Fraction:
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, bool):  # bool is an int subclass; reject explicitly
         raise GeometryTypeError("boolean is not a valid coordinate value")
-    if isinstance(value, (int, float, str)):
-        return Fraction(value)
+    if isinstance(value, (int, float, str, Fraction)):
+        exact = Fraction(value)
+        return exact.numerator if exact.denominator == 1 else exact
     raise GeometryTypeError(f"cannot interpret {value!r} as a coordinate value")
 
 
 class Coordinate:
-    """An exact 2D coordinate.
+    """An exact 2D coordinate whose ordinates are ``int`` or ``Fraction``.
 
     Coordinates are immutable and hashable, so they can be used as keys in
-    the topology engine's node maps.
+    the topology engine's node maps.  The hash is memoized: hashing a
+    ``Fraction`` costs a modular inverse, and node maps hash the same
+    coordinate many times.
     """
 
-    __slots__ = ("x", "y")
+    __slots__ = ("x", "y", "_hash")
 
     def __init__(self, x: Numeric, y: Numeric):
-        object.__setattr__(self, "x", _to_fraction(x))
-        object.__setattr__(self, "y", _to_fraction(y))
+        object.__setattr__(self, "x", _to_ordinate(x))
+        object.__setattr__(self, "y", _to_ordinate(y))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Coordinate is immutable")
@@ -53,7 +72,12 @@ class Coordinate:
         return self.x == other.x and self.y == other.y
 
     def __hash__(self) -> int:
-        return hash((self.x, self.y))
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.x, self.y))
+            object.__setattr__(self, "_hash", value)
+            return value
 
     def __lt__(self, other: "Coordinate") -> bool:
         return (self.x, self.y) < (other.x, other.y)
@@ -70,11 +94,11 @@ class Coordinate:
 
     def translated(self, dx: Numeric, dy: Numeric) -> "Coordinate":
         """Return a new coordinate shifted by (dx, dy)."""
-        return Coordinate(self.x + _to_fraction(dx), self.y + _to_fraction(dy))
+        return Coordinate(self.x + _to_ordinate(dx), self.y + _to_ordinate(dy))
 
 
-def format_number(value: Fraction) -> str:
-    """Render a Fraction the way SDBMSs render coordinates in WKT."""
+def format_number(value: Ordinate) -> str:
+    """Render an ordinate the way SDBMSs render coordinates in WKT."""
     if value.denominator == 1:
         return str(value.numerator)
     as_float = float(value)
@@ -203,7 +227,7 @@ class Envelope:
     #: and therefore their envelope memos — across campaign rounds.
     __slots__ = ("min_x", "min_y", "max_x", "max_y", "_float_box")
 
-    def __init__(self, min_x: Fraction, min_y: Fraction, max_x: Fraction, max_y: Fraction):
+    def __init__(self, min_x: Ordinate, min_y: Ordinate, max_x: Ordinate, max_y: Ordinate):
         self.min_x = min_x
         self.min_y = min_y
         self.max_x = max_x
@@ -237,11 +261,11 @@ class Envelope:
             max(self.max_y, other.max_y),
         )
 
-    def area(self) -> Fraction:
+    def area(self) -> Ordinate:
         """Area of the box (zero for degenerate boxes)."""
         return (self.max_x - self.min_x) * (self.max_y - self.min_y)
 
-    def margin(self) -> Fraction:
+    def margin(self) -> Ordinate:
         """Half-perimeter, used by R-tree split heuristics."""
         return (self.max_x - self.min_x) + (self.max_y - self.min_y)
 
@@ -293,14 +317,14 @@ class Point(Geometry):
         return Point(func(self.coordinate))
 
     @property
-    def x(self) -> Fraction:
+    def x(self) -> Ordinate:
         """X ordinate; raises on EMPTY."""
         if self.coordinate is None:
             raise GeometryTypeError("POINT EMPTY has no x ordinate")
         return self.coordinate.x
 
     @property
-    def y(self) -> Fraction:
+    def y(self) -> Ordinate:
         """Y ordinate; raises on EMPTY."""
         if self.coordinate is None:
             raise GeometryTypeError("POINT EMPTY has no y ordinate")

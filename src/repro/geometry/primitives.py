@@ -1,9 +1,13 @@
 """Exact low-level geometric predicates and constructions.
 
 Everything in this module operates on :class:`~repro.geometry.model.Coordinate`
-values whose ordinates are :class:`fractions.Fraction`, so every predicate is
-decided exactly — there is no epsilon anywhere.  The topology engine
-(:mod:`repro.topology`) is built entirely on these primitives.
+values whose ordinates are exact — an ``int`` when integral, a
+:class:`fractions.Fraction` otherwise — so every predicate is decided
+exactly; there is no epsilon anywhere.  Every division over ordinates goes
+through ``Fraction`` (``int / int`` would round through a float), and the
+hot predicates clear denominators instead of dividing, so integral input
+stays in ``int`` arithmetic.  The topology engine (:mod:`repro.topology`) is
+built entirely on these primitives.
 """
 
 from __future__ import annotations
@@ -52,15 +56,24 @@ def point_on_segment(p: Coordinate, a: Coordinate, b: Coordinate) -> bool:
 
     Degenerate segments (``a == b``) are handled: the test reduces to
     ``p == a``.
+
+    The test clears ``p``'s denominators: with ``p = (nx/dx, ny/dy)`` the
+    collinearity test ``cross(a, b, p) == 0`` scaled by ``dx·dy > 0`` reads
+    ``(b.x-a.x)·(ny-a.y·dy)·dx == (b.y-a.y)·(nx-a.x·dx)·dy`` and the
+    bounding-box test reads ``lo·dx <= nx <= hi·dx``.  One formula: pure
+    ``int`` arithmetic for integral segments, still exact for rational ones.
     """
     if a == b:
         return p == a
-    if orientation(a, b, p) != COLLINEAR:
+    px, py = p.x, p.y
+    nx, dx = px.numerator, px.denominator
+    ny, dy = py.numerator, py.denominator
+    ax, ay, bx, by = a.x, a.y, b.x, b.y
+    if (bx - ax) * (ny - ay * dy) * dx != (by - ay) * (nx - ax * dx) * dy:
         return False
-    return (
-        min(a.x, b.x) <= p.x <= max(a.x, b.x)
-        and min(a.y, b.y) <= p.y <= max(a.y, b.y)
-    )
+    lo_x, hi_x = (ax, bx) if ax <= bx else (bx, ax)
+    lo_y, hi_y = (ay, by) if ay <= by else (by, ay)
+    return lo_x * dx <= nx <= hi_x * dx and lo_y * dy <= ny <= hi_y * dy
 
 
 def segment_point_squared_distance(p: Coordinate, a: Coordinate, b: Coordinate) -> Fraction:
@@ -68,7 +81,7 @@ def segment_point_squared_distance(p: Coordinate, a: Coordinate, b: Coordinate) 
     if a == b:
         return squared_distance(p, a)
     length_sq = squared_distance(a, b)
-    t = dot(a, b, p) / length_sq
+    t = Fraction(dot(a, b, p), length_sq)
     if t <= 0:
         return squared_distance(p, a)
     if t >= 1:
@@ -158,8 +171,8 @@ def _line_intersection_point(
     denominator = r_x * s_y - r_y * s_x
     if denominator == 0:
         return None
-    t = ((b1.x - a1.x) * s_y - (b1.y - a1.y) * s_x) / denominator
-    u = ((b1.x - a1.x) * r_y - (b1.y - a1.y) * r_x) / denominator
+    t = Fraction((b1.x - a1.x) * s_y - (b1.y - a1.y) * s_x, denominator)
+    u = Fraction((b1.x - a1.x) * r_y - (b1.y - a1.y) * r_x, denominator)
     if not (0 <= t <= 1 and 0 <= u <= 1):
         return None
     return Coordinate(a1.x + t * r_x, a1.y + t * r_y)
@@ -230,7 +243,7 @@ def point_in_ring(p: Coordinate, ring: Sequence[Coordinate]) -> str:
     for a, b in zip(points, points[1:]):
         if (a.y > p.y) != (b.y > p.y):
             # x coordinate of the edge at height p.y
-            t = (p.y - a.y) / (b.y - a.y)
+            t = Fraction(p.y - a.y, b.y - a.y)
             x_cross = a.x + t * (b.x - a.x)
             if x_cross > p.x:
                 inside = not inside

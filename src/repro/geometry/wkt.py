@@ -40,7 +40,8 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_NUMBER_RE = re.compile(r"-?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?$")
+#: group 1 matches integer literals, which parse with ``int()``.
+_NUMBER_RE = re.compile(r"(-?\d+)$|-?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?$")
 
 
 class _TokenStream:
@@ -133,11 +134,14 @@ def _is_empty(stream: _TokenStream) -> bool:
     return False
 
 
-def _parse_number(stream: _TokenStream) -> str:
+def _parse_number(stream: _TokenStream) -> int | str:
+    """The next number token: an ``int`` for an integer literal, else the
+    text, which :class:`Coordinate` converts to its exact value."""
     token = stream.next()
-    if not _NUMBER_RE.match(token):
+    match = _NUMBER_RE.match(token)
+    if match is None:
         raise WKTParseError(f"expected a number, found {token!r}")
-    return token
+    return int(token) if match.group(1) is not None else token
 
 
 def _parse_coordinate(stream: _TokenStream) -> Coordinate:

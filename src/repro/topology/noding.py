@@ -136,15 +136,15 @@ def _order_along_segment(
 
     def parameter(p: Coordinate) -> Fraction:
         if b.x != a.x:
-            return (p.x - a.x) / (b.x - a.x)
-        return (p.y - a.y) / (b.y - a.y)
+            return Fraction(p.x - a.x, b.x - a.x)
+        return Fraction(p.y - a.y, b.y - a.y)
 
     return sorted(points, key=parameter)
 
 
 def midpoint(a: Coordinate, b: Coordinate) -> Coordinate:
     """Exact midpoint of a segment."""
-    return Coordinate((a.x + b.x) / 2, (a.y + b.y) / 2)
+    return Coordinate(Fraction(a.x + b.x, 2), Fraction(a.y + b.y, 2))
 
 
 #: process-wide switch for the integer-rescaled clearance kernel.  The two
@@ -181,14 +181,17 @@ class OffsetContext:
 
     ``side_offsets`` needs, per sub-segment, the minimum squared distance
     from the sub-segment's midpoint to every node and every non-incident
-    sub-segment.  Computed naively that is O(n) ``Fraction`` operations per
-    call, and ``Fraction`` arithmetic pays a gcd normalisation per operation
-    — the single hottest cost of the relate engine.  This context rescales
-    every coordinate once onto a common integer grid (twice the lcm of all
-    coordinate denominators, so midpoints are integral too) and answers the
-    same clearance queries with pure big-integer arithmetic.  The result is
-    the *identical* rational minimum — no epsilon, no rounding — just
-    computed without per-operation normalisation.
+    sub-segment.  Ordinates are ``int`` or ``Fraction``, but that query
+    divides (the midpoint halves, a point-to-segment distance divides by
+    the segment's length), and every division over ordinates goes through
+    ``Fraction``: computed naively that is O(n) ``Fraction`` operations per
+    call, each paying a gcd normalisation — the single hottest cost of the
+    relate engine.  This context rescales every coordinate once onto a
+    common integer grid (twice the lcm of all coordinate denominators, so
+    midpoints are integral too) and answers the same clearance queries with
+    pure big-integer arithmetic.  The result is the *identical* rational
+    minimum — no epsilon, no rounding — just computed without per-operation
+    normalisation.
     """
 
     def __init__(self, segments: Sequence[Segment], nodes: Iterable[Coordinate]):
@@ -417,7 +420,7 @@ def side_offsets(
         min_clearance_sq = Fraction(1)
 
     # Choose epsilon so that epsilon^2 * |segment|^2 < min_clearance_sq / 4.
-    bound = min_clearance_sq / (4 * length_sq)
+    bound = Fraction(min_clearance_sq, 4 * length_sq)
     if bound >= 1:
         epsilon = Fraction(1, 2)
     else:

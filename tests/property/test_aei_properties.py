@@ -41,6 +41,15 @@ class TestProposition33:
         assert original == transformed
 
     @_SETTINGS
+    @given(simple_geometries(), simple_geometries(), affine_matrices())
+    def test_rational_inverse_preserves_de9im(self, g1, g2, transformation):
+        # The inverse of an integer matrix has rational entries, so the
+        # images carry Fraction ordinates while g1 and g2 carry ints: the
+        # relate kernel must decide both representations identically.
+        inverse = transformation.inverse()
+        assert str(relate(g1, g2)) == str(relate(inverse.apply(g1), inverse.apply(g2)))
+
+    @_SETTINGS
     @given(any_geometries(), any_geometries())
     def test_pure_translation_preserves_de9im(self, g1, g2):
         translation = AffineTransformation.from_parts(1, 0, 0, 1, 7, -4)

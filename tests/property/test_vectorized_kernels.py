@@ -10,6 +10,9 @@ counterpart on mixed, EMPTY and collection geometries:
   degeneracies;
 * ``SegmentsLocator.contains_many`` equals the scalar
   ``point_on_segment`` loop;
+* the exact fallback ``point_on_segment``, which clears the query point's
+  denominators, equals the orientation-plus-``min``/``max`` formula it
+  replaced on random rational points and segments;
 * ``segment_pair_candidates`` never prunes a pair that
   ``segment_intersection`` reports as intersecting, and its
   ``certainly_proper`` certificates are genuinely proper crossings;
@@ -57,6 +60,8 @@ from repro.geometry.model import (
     Polygon,
 )
 from repro.geometry.primitives import (
+    COLLINEAR,
+    orientation,
     point_in_ring,
     point_on_segment,
     segment_intersection,
@@ -152,7 +157,7 @@ def _segments(rng: random.Random, count: int) -> list[tuple[Coordinate, Coordina
 
 
 def _midpoint(a: Coordinate, b: Coordinate) -> Coordinate:
-    return Coordinate((a.x + b.x) / 2, (a.y + b.y) / 2)
+    return Coordinate(Fraction(a.x + b.x, 2), Fraction(a.y + b.y, 2))
 
 
 def _adversarial_points(rng, ring_or_segments, edges):
@@ -208,6 +213,36 @@ def test_segments_locator_matches_point_on_segment_loop():
     assert kernel_stats()["segment_batches"] >= CASES
 
 
+def _point_on_segment_reference(p: Coordinate, a: Coordinate, b: Coordinate) -> bool:
+    """The orientation-plus-``min``/``max`` formula ``point_on_segment``
+    used before it cleared the query point's denominators."""
+    if a == b:
+        return p == a
+    if orientation(a, b, p) != COLLINEAR:
+        return False
+    return min(a.x, b.x) <= p.x <= max(a.x, b.x) and min(a.y, b.y) <= p.y <= max(a.y, b.y)
+
+
+def test_denominator_cleared_point_on_segment_matches_reference():
+    rng = random.Random(60409)
+    hits = misses = 0
+    for case in range(CASES * 5):
+        a = _coordinate(rng)
+        b = a if case % 17 == 0 else _coordinate(rng)
+        # Rational points on the supporting line (inside and beyond the
+        # segment), segment vertices, and random rational points.
+        t = Fraction(rng.randint(-4, 12), rng.choice((1, 2, 3, 7, 8)))
+        on_line = Coordinate(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+        queries = [on_line, a, b, _coordinate(rng)]
+        queries.append(Coordinate(on_line.x, on_line.y + Fraction(1, rng.choice((5, 9)))))
+        for p in queries:
+            expected = _point_on_segment_reference(p, a, b)
+            assert point_on_segment(p, a, b) == expected, (p, a, b)
+            hits += expected
+            misses += not expected
+    assert hits > CASES and misses > CASES  # both outcomes were exercised
+
+
 # ---------------------------------------------------------------------------
 # Noding pair prescreen.
 # ---------------------------------------------------------------------------
@@ -257,7 +292,7 @@ def _point_segment_squared(p: Coordinate, a: Coordinate, b: Coordinate) -> Fract
     if a == b:
         return (p.x - a.x) ** 2 + (p.y - a.y) ** 2
     ex, ey = b.x - a.x, b.y - a.y
-    t = ((p.x - a.x) * ex + (p.y - a.y) * ey) / (ex * ex + ey * ey)
+    t = Fraction((p.x - a.x) * ex + (p.y - a.y) * ey, ex * ex + ey * ey)
     t = min(max(t, Fraction(0)), Fraction(1))
     return (p.x - (a.x + t * ex)) ** 2 + (p.y - (a.y + t * ey)) ** 2
 
