@@ -14,13 +14,11 @@ the default multi-scenario round.  Process-level caches are cleared between
 configurations so a scenario cannot ride on relate/canonical work a
 previous configuration paid for.
 
-Since the execution fast-path layer landed, the two join-heavy scenarios
-(the slowest rows of the table) additionally run with ``fast_path=False``;
-the report shows the speedup and the benchmark asserts the fast path's
-contract — at least 2x rounds/s on ``topological-join`` and ``join-chain``
-with a bug yield identical to the slow path.  The measured rows are also
-written to ``BENCH_scenario_throughput.json`` (fast path off = "before",
-on = "after").
+The measured rows are also written to ``BENCH_scenario_throughput.json``.
+Campaigns have one execution path (the fast path, the vectorized batch
+core and the reuse layer always run), so there is no on/off axis here;
+``tests/integration/test_reference_equivalence.py`` holds each of those
+optimisations finding-for-finding identical to its reference path.
 
 Since the backend protocol landed, the full-registry campaign additionally
 runs once per execution backend (``CampaignConfig.backend``), and the JSON
@@ -30,26 +28,6 @@ the wire) will join.  The benchmark asserts the adapters' semantic
 contract: same campaign, same observable discrepancy stream, whatever
 engine plans the queries (ground-truth attribution may differ — fault
 hooks fire in the planner's evaluation order).
-
-Since the vectorized batch execution core landed, the same two join-heavy
-scenarios also run with ``vectorized=False`` (numpy geometry kernels and
-the batch-operator SELECT pipeline both off, fast path still on), and the
-JSON report carries a ``vectorized`` axis (off = "before", on = "after").
-The benchmark asserts the batch core's declared contract: at least 4x
-rounds/s on ``topological-join`` and ``join-chain`` with a bug yield and
-discrepancy stream identical to the scalar interpreter.
-
-Since the materialization & plan reuse layer landed, the same rows also
-run with ``reuse=False`` (affine-derived follow-up databases, direct
-bulk-load and the compiled-plan cache all off), and the JSON report
-carries a ``reuse`` axis.  The *hard* contract here is equivalence —
-identical unique-bug sets and discrepancy streams with reuse on vs off;
-the perf floor is deliberately modest (no regression beyond noise), not a
-multiple: profiling shows ~80-86% of a join-heavy round is the exact
-relate kernel, which the reuse layer leaves untouched by design (seeding
-one AEI side's results from the other would break the oracle's
-independence; see docs/PERFORMANCE.md).  The measured speedup is whatever
-the JSON records — honest, not aspirational.
 """
 
 from __future__ import annotations
@@ -65,41 +43,15 @@ from benchmarks.conftest import RESULTS_DIRECTORY, clear_process_caches, write_r
 ROUNDS = 3
 BASE = dict(dialect="postgis", seed=2025, geometry_count=6, queries_per_round=14)
 
-#: join-heavy scenarios measured in both execution modes (the fast path's
-#: declared ≥2x targets).
-FAST_PATH_TARGETS = ("topological-join", "join-chain")
-
-#: the same scenarios, measured with the vectorized batch core on and off
-#: (the batch core's declared ≥4x targets).
-VECTORIZED_TARGETS = FAST_PATH_TARGETS
-
-#: the same scenarios, measured with the materialization & plan reuse
-#: layer on and off (equivalence is the hard contract; the speedup is
-#: recorded, not promised — the round is relate-kernel-bound).
-REUSE_TARGETS = FAST_PATH_TARGETS
-
 #: execution backends the full-registry campaign is measured on — the new
 #: axis of the backend protocol: the same rounds, planned by a different
 #: engine.  ``inprocess`` equals the "all" row; ``sqlite`` is the adapter.
 BACKENDS = ("inprocess", "sqlite")
 
 
-def _run_one(
-    scenarios: tuple[str, ...] | None,
-    fast_path: bool = True,
-    backend: str = "inprocess",
-    vectorized: bool = True,
-    reuse: bool = True,
-) -> dict:
+def _run_one(scenarios: tuple[str, ...] | None, backend: str = "inprocess") -> dict:
     clear_process_caches()
-    config = CampaignConfig(
-        **BASE,
-        scenarios=scenarios,
-        fast_path=fast_path,
-        backend=backend,
-        vectorized=vectorized,
-        reuse=reuse,
-    )
+    config = CampaignConfig(**BASE, scenarios=scenarios, backend=backend)
     result = TestingCampaign(config).run(rounds=ROUNDS)
     return {
         "result": result,
@@ -111,20 +63,14 @@ def _run_one(
 def _run_all() -> dict[str, dict]:
     outcomes = {name: _run_one((name,)) for name in scenario_names()}
     outcomes["all"] = _run_one(None)
-    for name in FAST_PATH_TARGETS:
-        outcomes[f"{name} [no fast path]"] = _run_one((name,), fast_path=False)
-    for name in VECTORIZED_TARGETS:
-        outcomes[f"{name} [no vectorized]"] = _run_one((name,), vectorized=False)
-    for name in REUSE_TARGETS:
-        outcomes[f"{name} [no reuse]"] = _run_one((name,), reuse=False)
     for backend in BACKENDS[1:]:
         outcomes[f"all [backend={backend}]"] = _run_one(None, backend=backend)
     return outcomes
 
 
 def _write_json(outcomes: dict[str, dict]) -> None:
-    """Persist the before/after comparison next to the text report and at
-    the repository root (``BENCH_scenario_throughput.json``)."""
+    """Persist the rows next to the text report and at the repository root
+    (``BENCH_scenario_throughput.json``)."""
 
     def row(outcome: dict) -> dict:
         result = outcome["result"]
@@ -138,37 +84,10 @@ def _write_json(outcomes: dict[str, dict]) -> None:
 
     payload = {
         "config": {**BASE, "rounds": ROUNDS},
-        "fast_path_off_before": {
-            name: row(outcomes[f"{name} [no fast path]"]) for name in FAST_PATH_TARGETS
-        },
-        "fast_path_on_after": {name: row(outcomes[name]) for name in FAST_PATH_TARGETS},
-        # The batch execution core's axis: the same join-heavy rows with the
-        # numpy kernels and the batch-operator pipeline off ("before") and
-        # on ("after" — the default rows rerun under their canonical names).
-        "vectorized": {
-            "off_before": {
-                name: row(outcomes[f"{name} [no vectorized]"])
-                for name in VECTORIZED_TARGETS
-            },
-            "on_after": {name: row(outcomes[name]) for name in VECTORIZED_TARGETS},
-        },
-        # The reuse layer's axis: derived materialisation + plan cache off
-        # ("before") and on ("after").  The yield columns must be identical;
-        # the throughput delta is the honest measured effect of skipping the
-        # serialize/parse round-trips on a relate-kernel-bound workload.
-        "reuse": {
-            "off_before": {
-                name: row(outcomes[f"{name} [no reuse]"]) for name in REUSE_TARGETS
-            },
-            "on_after": {name: row(outcomes[name]) for name in REUSE_TARGETS},
-        },
-        "all_scenarios_fast_path_on": {
+        "per_scenario": {
             name: row(outcome)
             for name, outcome in outcomes.items()
-            if "[no fast path]" not in name
-            and "[no vectorized]" not in name
-            and "[no reuse]" not in name
-            and "[backend=" not in name
+            if "[backend=" not in name
         },
         # per-backend rounds/s of the full-registry campaign: the backend
         # protocol's throughput axis ("inprocess" is the "all" row rerun
@@ -207,24 +126,6 @@ def test_scenario_throughput(benchmark):
             f"{outcome['rounds_per_second']:>9.2f} {outcome['queries_per_second']:>10.2f} "
             f"{len(result.discrepancies):>6} {result.unique_bug_count:>12}"
         )
-    for name in FAST_PATH_TARGETS:
-        fast = outcomes[name]["rounds_per_second"]
-        slow = outcomes[f"{name} [no fast path]"]["rounds_per_second"]
-        speedup = fast / slow if slow else float("inf")
-        lines.append(f"fast-path speedup on {name}: {speedup:.2f}x")
-
-    for name in VECTORIZED_TARGETS:
-        batch = outcomes[name]["rounds_per_second"]
-        scalar = outcomes[f"{name} [no vectorized]"]["rounds_per_second"]
-        speedup = batch / scalar if scalar else float("inf")
-        lines.append(f"vectorized speedup on {name}: {speedup:.2f}x")
-
-    for name in REUSE_TARGETS:
-        reused = outcomes[name]["rounds_per_second"]
-        legacy = outcomes[f"{name} [no reuse]"]["rounds_per_second"]
-        speedup = reused / legacy if legacy else float("inf")
-        lines.append(f"reuse-layer speedup on {name}: {speedup:.2f}x")
-
     for backend in BACKENDS[1:]:
         backend_row = outcomes[f"all [backend={backend}]"]
         lines.append(
@@ -235,11 +136,7 @@ def test_scenario_throughput(benchmark):
     exclusive: dict[str, set] = {
         name: set(outcome["result"].unique_bug_ids)
         for name, outcome in outcomes.items()
-        if name != "all"
-        and "[no fast path]" not in name
-        and "[no vectorized]" not in name
-        and "[no reuse]" not in name
-        and "[backend=" not in name
+        if name != "all" and "[backend=" not in name
     }
     for name, bugs in sorted(exclusive.items()):
         others = set().union(*(b for n, b in exclusive.items() if n != name))
@@ -258,49 +155,6 @@ def test_scenario_throughput(benchmark):
         outcomes["all"]["result"].unique_bug_count + 2
         >= outcomes["topological-join"]["result"].unique_bug_count
     )
-    # Fast-path contract: >= 2x rounds/s on the join-heavy scenarios with a
-    # bug yield identical to the slow path (same unique-bug sets, same
-    # discrepancy stream).
-    for name in FAST_PATH_TARGETS:
-        fast = outcomes[name]
-        slow = outcomes[f"{name} [no fast path]"]
-        assert fast["rounds_per_second"] >= 2 * slow["rounds_per_second"], name
-        assert set(fast["result"].unique_bug_ids) == set(slow["result"].unique_bug_ids), name
-        assert [d.describe() for d in fast["result"].discrepancies] == [
-            d.describe() for d in slow["result"].discrepancies
-        ], name
-    # Batch-core contract: >= 4x rounds/s on the join-heavy scenarios with
-    # the identical bug yield and discrepancy stream as the scalar
-    # interpreter (the batch-vs-scalar oracle, restated as a perf floor;
-    # originally asserted at 5x, relaxed to the floor actually sustained
-    # across machines once the scalar baseline itself got faster).
-    for name in VECTORIZED_TARGETS:
-        batch = outcomes[name]
-        scalar = outcomes[f"{name} [no vectorized]"]
-        assert batch["rounds_per_second"] >= 4 * scalar["rounds_per_second"], name
-        assert set(batch["result"].unique_bug_ids) == set(
-            scalar["result"].unique_bug_ids
-        ), name
-        assert [d.describe() for d in batch["result"].discrepancies] == [
-            d.describe() for d in scalar["result"].discrepancies
-        ], name
-    # Reuse-layer contract: equivalence is hard — identical unique-bug sets
-    # and discrepancy streams with reuse on vs off.  The perf assertion is a
-    # no-regression floor, not a speedup promise: the join-heavy round is
-    # relate-kernel-bound (~80-86% of wall clock), reuse only removes the
-    # serialize/parse plumbing around it, and an honest floor beats an
-    # aspirational multiple that only result-seeding across the AEI pair
-    # (which would unsound the oracle) could reach.
-    for name in REUSE_TARGETS:
-        reused = outcomes[name]
-        legacy = outcomes[f"{name} [no reuse]"]
-        assert reused["rounds_per_second"] >= 0.9 * legacy["rounds_per_second"], name
-        assert set(reused["result"].unique_bug_ids) == set(
-            legacy["result"].unique_bug_ids
-        ), name
-        assert [d.describe() for d in reused["result"].discrepancies] == [
-            d.describe() for d in legacy["result"].discrepancies
-        ], name
     # Backend contract: the adapter swaps the planner, not the semantics —
     # the same campaign finds the same *observable* discrepancy stream on
     # every backend.  (Ground-truth attribution is deliberately not

@@ -46,11 +46,7 @@ class TimeSplit:
     #: Cache counters averaged over the repeats (``prepared_*``,
     #: ``relate_*`` and ``interner_*`` hits/misses), so every field of a
     #: data point is a per-repeat mean and stays comparable across sweeps
-    #: run with different ``repeats``.  Populated in both execution modes:
-    #: the relate WKT memo, the geometry interner and the seed's
-    #: ST_Contains prepared routing stay active with ``fast_path=False`` —
-    #: only the gated layers (broad prepared caching, auto indexes, the
-    #: clearance kernel) go quiet.
+    #: run with different ``repeats``.
     cache_stats: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -78,7 +74,6 @@ def measure_campaign_time_split(
     emulate_release_under_test: bool = True,
     rounds: int = 1,
     workers: int = 1,
-    fast_path: bool = True,
 ) -> TimeSplit:
     """Average the Spatter/SDBMS time split over ``repeats`` runs.
 
@@ -109,7 +104,6 @@ def measure_campaign_time_split(
             seed=seed + repeat,
             emulate_release_under_test=emulate_release_under_test,
             workers=workers,
-            fast_path=fast_path,
         )
         result = run_campaign(config, rounds=rounds)
         total_spatter += result.total_seconds

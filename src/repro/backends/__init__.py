@@ -56,18 +56,14 @@ __all__ = [
 
 register_backend(
     "inprocess",
-    lambda dialect, bug_ids, fast_path, vectorized=True: InProcessBackend(
-        dialect=dialect, bug_ids=bug_ids, fast_path=fast_path, vectorized=vectorized
-    ),
+    InProcessBackend,
     "the emulated in-process engine (MiniSDB); full fault injection, "
     "planner toggles, fast-path auto-indexes and the batch executor",
 )
 
 register_backend(
     "sqlite",
-    lambda dialect, bug_ids, fast_path, vectorized=True: SQLiteBackend(
-        dialect=dialect, bug_ids=bug_ids, fast_path=fast_path, vectorized=vectorized
-    ),
+    SQLiteBackend,
     "stdlib sqlite3 with the repro geometry library as deterministic UDFs; "
     "SQLite plans the joins",
 )

@@ -28,7 +28,6 @@ rest of the system talks to it through three small surfaces:
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Protocol, runtime_checkable
 
@@ -191,9 +190,8 @@ class Backend:
 # Registry: backends are created from names + plain-data options.
 # ---------------------------------------------------------------------------
 
-#: name -> (factory, one-line description).  The factory signature is the
-#: normalised option set every adapter understands; adapters ignore options
-#: that do not apply to them (e.g. ``fast_path`` for SQLite).
+#: name -> (factory, one-line description).  Every factory is called with
+#: the same keyword options, ``dialect`` and ``bug_ids``.
 _FACTORIES: dict[str, tuple[Callable[..., Backend], str]] = {}
 
 
@@ -229,27 +227,10 @@ def _resolve_name(name: str) -> str:
     return key
 
 
-def _factory_accepts(factory: Callable[..., Backend], option: str) -> bool:
-    """True if the factory's signature names the (keyword) option.
-
-    Options added after a factory was written are silently dropped so
-    adapters registered against the older, narrower option set — including
-    ``**options`` passthroughs onto such adapters — keep working unchanged;
-    a factory opts in by naming the parameter.
-    """
-    try:
-        parameters = inspect.signature(factory).parameters
-    except (TypeError, ValueError):
-        return False
-    return option in parameters
-
-
 def create_backend(
     name: str,
     dialect: str = "postgis",
     bug_ids: Iterable[str] | tuple[str, ...] = (),
-    fast_path: bool = True,
-    vectorized: bool = True,
 ) -> Backend:
     """Create a backend from its registered name and plain-data options.
 
@@ -258,11 +239,4 @@ def create_backend(
     worker process can rebuild the backend from the config alone.
     """
     factory, _ = _FACTORIES[_resolve_name(name)]
-    kwargs: dict[str, Any] = {
-        "dialect": dialect,
-        "bug_ids": tuple(bug_ids),
-        "fast_path": fast_path,
-    }
-    if _factory_accepts(factory, "vectorized"):
-        kwargs["vectorized"] = vectorized
-    return factory(**kwargs)
+    return factory(dialect=dialect, bug_ids=tuple(bug_ids))

@@ -128,34 +128,6 @@ def build_argument_parser() -> argparse.ArgumentParser:
         help="disable the derivative strategy (the RSG baseline)",
     )
     parser.add_argument(
-        "--no-fast-path",
-        action="store_true",
-        help=(
-            "disable the execution fast-path layer (prepared-predicate "
-            "caching, auto-built STR indexes, integer clearance kernel); "
-            "the reference configuration of the fast-path self-checks"
-        ),
-    )
-    parser.add_argument(
-        "--no-vectorized",
-        action="store_true",
-        help=(
-            "disable the vectorized batch execution core (numpy geometry "
-            "kernels and the batch-operator SELECT pipeline); the scalar "
-            "reference side of the batch-vs-scalar equivalence suite"
-        ),
-    )
-    parser.add_argument(
-        "--no-reuse",
-        action="store_true",
-        help=(
-            "disable the materialization/plan reuse layer (affine-derived "
-            "follow-up databases, direct bulk-load of parsed geometry, "
-            "compiled-plan cache); the legacy reference side of the reuse "
-            "equivalence suite"
-        ),
-    )
-    parser.add_argument(
         "--scheduler",
         choices=SCHEDULER_NAMES,
         default=STATIC_SCHEDULER,
@@ -290,8 +262,6 @@ def _print_reduced_discrepancies(result) -> None:
         config.backend,
         dialect=config.dialect,
         bug_ids=config.resolved_bug_ids(),
-        fast_path=config.fast_path,
-        vectorized=config.vectorized,
     )
     for discrepancy in result.discrepancies:
         if getattr(discrepancy.query, "kind", "scalar") != "scalar":
@@ -302,7 +272,7 @@ def _print_reduced_discrepancies(result) -> None:
             scenario = get_scenario(discrepancy.scenario)
         except KeyError:
             pass
-        oracle = AEIOracle(backend=backend, fast_path=config.fast_path)
+        oracle = AEIOracle(backend=backend)
         reducer = TestCaseReducer(oracle, scenario=scenario)
         spec = DatabaseSpec.from_statements(discrepancy.original_statements)
         case = reducer.minimize(spec, discrepancy.query, discrepancy.transformation)
@@ -403,9 +373,6 @@ def main(argv: list[str] | None = None) -> int:
         table_count=arguments.tables,
         queries_per_round=arguments.queries,
         use_derivative_strategy=not arguments.random_shape_only,
-        fast_path=not arguments.no_fast_path,
-        vectorized=not arguments.no_vectorized,
-        reuse=not arguments.no_reuse,
         scheduler=arguments.scheduler,
         trace_file=arguments.trace_file,
         seed=arguments.seed,
@@ -471,11 +438,11 @@ def main(argv: list[str] | None = None) -> int:
 def _print_report(result, arguments) -> None:
     """The human-readable campaign report (the default, non-``--json`` view)."""
     print(result.summary())
-    # Only label the counters as fast-path output when the fast path ran on
-    # the in-process engine; with --no-fast-path (or an external backend)
-    # the remaining traffic is the seed's unconditional layers (relate WKT
-    # memo, ST_Contains routing) and would mislead.
-    if result.cache_stats and result.config.fast_path and result.config.backend == "inprocess":
+    # Only label the counters as fast-path output on the in-process engine;
+    # on an external backend the remaining traffic is the seed's
+    # unconditional layers (relate WKT memo, ST_Contains routing) and would
+    # mislead.
+    if result.cache_stats and result.config.backend == "inprocess":
         prepared_hits = result.cache_stats.get("prepared_hits", 0)
         prepared_misses = result.cache_stats.get("prepared_misses", 0)
         relate_hits = result.cache_stats.get("relate_hits", 0)
@@ -485,7 +452,7 @@ def _print_report(result, arguments) -> None:
             f"{prepared_misses} misses, relate {relate_hits} hits / "
             f"{relate_misses} misses"
         )
-    if result.config.reuse and result.cache_stats:
+    if result.cache_stats:
         derived = result.cache_stats.get("reuse_derived_databases", 0)
         direct = result.cache_stats.get("reuse_direct_databases", 0)
         fallback = result.cache_stats.get("reuse_fallback_databases", 0)

@@ -37,7 +37,7 @@ from repro.core.scheduler import (
     resolve_scheduler_name,
     scenario_arm,
 )
-from repro.core.reuse import reuse_stats, set_reuse
+from repro.core.reuse import reuse_stats
 from repro.core.trace import CampaignTrace
 from repro.engine.database import SpatialDatabase, connect
 from repro.engine.plancache import PlanCache
@@ -100,33 +100,6 @@ class CampaignConfig:
     #: ``True`` enables the derivative strategy (Algorithm 1); ``False`` is
     #: the random-shape-only RSG baseline.
     use_derivative_strategy: bool = True
-    #: ``True`` enables the gated execution fast-path layers: prepared
-    #: caching of the full indexable-predicate family, auto-built STR index
-    #: prefilters on oracle-materialised databases, and the integer
-    #: clearance kernel.  Defaults on; ``False`` is the reference side of
-    #: the fast-path equivalence self-checks and the right setting for the
-    #: Index baseline oracle.  (The always-pure layers — interned parsing,
-    #: per-instance wkt/envelope memos, the relate WKT memo, and the seed's
-    #: ST_Contains prepared routing — are not gated; results are identical
-    #: in both modes either way, which the equivalence suite asserts.)
-    fast_path: bool = True
-    #: ``True`` enables the vectorized batch execution core: the numpy
-    #: geometry kernels (:mod:`repro.geometry.columnar`) and the plan-level
-    #: batch compiler (:mod:`repro.engine.vectorized`) that lowers SELECTs
-    #: into scan → batch-prefilter → residual-exact-predicate pipelines.
-    #: ``False`` (the CLI's ``--no-vectorized``) runs the scalar
-    #: row-at-a-time reference path; the batch-vs-scalar equivalence suite
-    #: holds the two modes finding-for-finding identical.
-    vectorized: bool = True
-    #: ``True`` enables the cross-round reuse layer: follow-up databases
-    #: derived from parsed originals (no WKT round-trip), direct bulk-load
-    #: of parsed geometry tables into sessions that support it, and the
-    #: campaign-lifetime compiled-plan cache
-    #: (:mod:`repro.engine.plancache`).  ``False`` (the CLI's
-    #: ``--no-reuse``) replays the legacy render/parse/execute path end to
-    #: end; the reuse equivalence suite holds the two modes
-    #: finding-for-finding identical.
-    reuse: bool = True
     #: Round-budget allocation policy.  ``"static"`` (the default) keeps the
     #: historical even :func:`~repro.core.oracle.allocate_query_budget`
     #: split with its rotating remainder — byte-for-byte the pre-scheduler
@@ -422,8 +395,6 @@ class TestingCampaign:
             self.config.backend,
             dialect=self.config.dialect,
             bug_ids=self._bug_ids(),
-            fast_path=self.config.fast_path,
-            vectorized=self.config.vectorized,
         )
         if self._bug_ids() and not self.backend.capabilities().supports_fault_injection:
             # A release emulation needs the fault layer; running it on a
@@ -451,8 +422,8 @@ class TestingCampaign:
         self.scheduler: BanditScheduler | None = None
         #: campaign-lifetime compiled-plan cache (the reuse layer's query
         #: side); handed to every round's AEI oracle so a query shape is
-        #: parsed once per campaign, not once per execution.  Inert when
-        #: the reuse flag is off — the oracle checks the toggle per pass.
+        #: parsed once per campaign, not once per execution.  Inert on
+        #: sessions without ``execute_parsed`` (the ``sqlite`` backend).
         self.plan_cache = PlanCache()
         capabilities = self.backend.capabilities()
         if AEI_ORACLE in self.active_oracles:
@@ -494,8 +465,6 @@ class TestingCampaign:
                 self.config.compare_backend,
                 dialect=self.config.dialect,
                 bug_ids=(),
-                fast_path=self.config.fast_path,
-                vectorized=self.config.vectorized,
             )
 
     # ------------------------------------------------------------- plumbing
@@ -546,22 +515,6 @@ class TestingCampaign:
             truncate=self.shard_count == 1 and self.rounds_completed == 0,
             sink=self.trace_sink,
         )
-
-        # The integer clearance kernel is process-global (it lives below the
-        # per-connection layers); scope it to this run so fast-path-off
-        # campaigns measure the seed execution end to end.
-        from repro.geometry.columnar import set_vectorized_kernels
-        from repro.topology.noding import set_fast_clearance
-
-        previous_clearance = set_fast_clearance(self.config.fast_path)
-        # The numpy geometry kernels are process-global like the clearance
-        # kernel; scope them to this run so --no-vectorized campaigns run
-        # the scalar reference geometry code end to end.
-        previous_vectorized = set_vectorized_kernels(self.config.vectorized)
-        # The reuse layer spans the oracle, the sessions and the plan cache;
-        # like the two switches above it is process-global and scoped to the
-        # run so --no-reuse campaigns replay the legacy path end to end.
-        previous_reuse = set_reuse(self.config.reuse)
         try:
             while True:
                 elapsed = time.perf_counter() - started
@@ -576,9 +529,6 @@ class TestingCampaign:
                     # checkpoint taken here is a consistent resume point.
                     self.round_hook(self, result)
         finally:
-            set_fast_clearance(previous_clearance)
-            set_vectorized_kernels(previous_vectorized)
-            set_reuse(previous_reuse)
             trace.close()
 
         result.total_seconds = time.perf_counter() - started
@@ -674,7 +624,6 @@ class TestingCampaign:
         oracle = AEIOracle(
             tracked_factory,
             rng=rng,
-            fast_path=self.config.fast_path,
             capabilities=self.backend.capabilities(),
             reference_backend=self.reference_backend,
             plan_cache=self.plan_cache,

@@ -52,7 +52,7 @@ from repro.backends.differential import BackendDivergence, CrossBackendComparato
 from repro.core.affine import AffineTransformation, has_integral_coordinates
 from repro.core.canonical import canonicalize
 from repro.core.generator import DatabaseSpec
-from repro.core.reuse import record_materialisation, reuse_enabled
+from repro.core.reuse import record_materialisation
 from repro.engine.database import SpatialDatabase
 from repro.scenarios import Scenario, ScenarioContext, resolve_scenarios
 from repro.scenarios.base import TransformationFamily
@@ -164,7 +164,6 @@ class AEIOracle:
         database_factory=None,
         rng: random.Random | None = None,
         canonicalize_followup: bool = True,
-        fast_path: bool = True,
         backend: Backend | None = None,
         capabilities: Capabilities | None = None,
         reference_backend: Backend | None = None,
@@ -185,19 +184,19 @@ class AEIOracle:
         The comparator consumes no randomness, so enabling it does not
         perturb the AEI round stream.
 
-        With ``fast_path`` on, every materialised database gets STR
-        bulk-loaded R-tree indexes on its geometry columns right after
-        construction (followup databases included), so the scenario joins
-        start with warm envelope prefilters.  Disable it to reproduce the
-        seed execution behaviour exactly — e.g. for the differential
-        self-check suite or when driving the Index baseline oracle, whose
-        seqscan/index toggling must stay the only index machinery in play.
+        Every materialised database whose session runs the engine fast
+        path (``session.fast_path``) gets STR bulk-loaded R-tree indexes on
+        its geometry columns right after construction (followup databases
+        included), so the scenario joins start with warm envelope
+        prefilters.  Sessions connected with ``fast_path=False`` — the
+        Index baseline oracle's, whose seqscan/index toggling must stay the
+        only index machinery in play — get none.
 
         ``plan_cache`` (a :class:`repro.engine.plancache.PlanCache`, shared
         across rounds by the campaign) lets scenario queries replay
         compiled statements instead of rendering and re-parsing SQL per
-        execution; it only engages while the reuse layer is switched on
-        and the session supports ``execute_parsed``.
+        execution; it engages whenever the session supports
+        ``execute_parsed``.
         """
         if database_factory is None:
             if backend is None:
@@ -211,7 +210,6 @@ class AEIOracle:
         self.reference_backend = reference_backend
         self.rng = rng or random.Random()
         self.canonicalize_followup = canonicalize_followup
-        self.fast_path = fast_path
         self.plan_cache = plan_cache
 
     # ------------------------------------------------------------------ steps
@@ -221,7 +219,12 @@ class AEIOracle:
         transformation: AffineTransformation,
         canonicalize_spec: bool | None = None,
     ) -> DatabaseSpec:
-        """Canonicalise (optionally) and transform every geometry of a spec."""
+        """Canonicalise (optionally) and transform every geometry of a spec.
+
+        The text-only form of :meth:`derive_followup`: the test-case
+        reducer re-checks minimised specs through it, and the derivation
+        property tests use it as the reference.
+        """
         if canonicalize_spec is None:
             canonicalize_spec = self.canonicalize_followup
         followup = DatabaseSpec(tables={})
@@ -294,16 +297,15 @@ class AEIOracle:
         """Create the tables and rows of a spec in a fresh connection.
 
         Rows carry stable ids (``include_ids``) so row-list scenarios can
-        compare results by identity.  With the reuse layer on and a session
-        that supports bulk loading, the parsed geometries (``parsed`` from
+        compare results by identity.  A session that supports bulk loading
+        receives the parsed geometries (``parsed`` from
         :meth:`derive_followup`, or the spec's WKTs through the interner)
-        are loaded directly — statement for statement identical to
-        executing ``create_statements``, minus the SQL round-trip.
+        directly — statement for statement identical to executing
+        ``create_statements``, minus the SQL round-trip; other sessions
+        replay the statements.
         """
         database = self.database_factory()
-        loader = (
-            getattr(database, "load_geometry_tables", None) if reuse_enabled() else None
-        )
+        loader = getattr(database, "load_geometry_tables", None)
         if loader is not None:
             if parsed is None:
                 tables = {
@@ -319,10 +321,8 @@ class AEIOracle:
             record_materialisation("fallback")
             for statement in spec.create_statements(include_ids=True):
                 database.execute(statement)
-        if (
-            self.fast_path
-            and getattr(database, "fast_path", False)
-            and (self.capabilities is None or self.capabilities.supports_auto_indexes)
+        if getattr(database, "fast_path", False) and (
+            self.capabilities is None or self.capabilities.supports_auto_indexes
         ):
             database.build_auto_indexes()
         return database
@@ -404,19 +404,11 @@ class AEIOracle:
             group_transformation = transformation or family.sample(self.rng)
             materialise_started = time.perf_counter()
             try:
-                if reuse_enabled():
-                    followup_spec, followup_parsed = self.derive_followup(
-                        spec,
-                        group_transformation,
-                        canonicalize_spec=canonicalize_spec and self.canonicalize_followup,
-                    )
-                else:
-                    followup_spec = self.build_followup_spec(
-                        spec,
-                        group_transformation,
-                        canonicalize_spec=canonicalize_spec and self.canonicalize_followup,
-                    )
-                    followup_parsed = None
+                followup_spec, followup_parsed = self.derive_followup(
+                    spec,
+                    group_transformation,
+                    canonicalize_spec=canonicalize_spec and self.canonicalize_followup,
+                )
                 followup = self.materialise(followup_spec, parsed=followup_parsed)
             except EngineCrash as crash:
                 outcome.crashes.append(
@@ -537,7 +529,6 @@ class AEIOracle:
         queries = scenario.build_queries(spec, context, budget)
         use_plans = (
             self.plan_cache is not None
-            and reuse_enabled()
             and hasattr(original, "execute_parsed")
             and hasattr(followup, "execute_parsed")
         )

@@ -1,27 +1,24 @@
-"""Run-scoped switch and counters for the materialization/plan reuse layer.
+"""Counters for the materialization/plan reuse layer.
 
-The reuse layer (``CampaignConfig.reuse`` / ``--no-reuse``) spans several
-modules — the oracle derives follow-up databases from parsed originals, the
-backend session bulk-loads parsed tables, and the campaign-owned plan cache
-replays compiled statements — so, like the fast-path and vectorized
-switches before it, the flag lives in one process-global toggle that
-``TestingCampaign.run`` scopes around the campaign (set on entry, restored
-in ``finally``).  Oracles constructed outside a campaign see the default
-(enabled), which keeps standalone use on the fast configuration while the
-equivalence suites flip the toggle explicitly.
+The reuse layer spans several modules — the oracle derives follow-up
+databases from parsed originals, the backend session bulk-loads parsed
+tables, and the campaign-owned plan cache replays compiled statements.  It
+always runs.  The legacy paths remain only where they are the only ones
+that can run: a session without ``load_geometry_tables``/``execute_parsed``
+(the ``sqlite`` backend) replays SQL, a follow-up with a non-integral
+derived coordinate is re-parsed from its WKT, and a query shape the plan
+verifier refuses is rendered and re-parsed.
 
 The counters record *which* path ran — how many databases were materialised
 by direct bulk-load, how many follow-ups were derived without a WKT
-round-trip, and how many fell back to SQL replay — so the on-vs-off
-differential tests can prove the reuse path actually engaged (non-vacuity)
-and the CLI can report it.  They follow the process-global cache idiom:
-``TestingCampaign`` snapshots them per round and reports deltas, keeping
-shard results additive under parallel merge.
+round-trip, and how many fell back to SQL replay — so the reference
+equivalence harness can prove the reuse path actually engaged
+(non-vacuity) and the CLI can report it.  They follow the process-global
+cache idiom: ``TestingCampaign`` snapshots them per round and reports
+deltas, keeping shard results additive under parallel merge.
 """
 
 from __future__ import annotations
-
-_ENABLED = True
 
 _STATS = {
     # databases materialised by direct bulk-load of parsed geometry tables
@@ -29,23 +26,10 @@ _STATS = {
     # follow-up databases whose spec was derived from parsed originals
     # (no WKT round-trip) and bulk-loaded as objects
     "derived_databases": 0,
-    # databases that fell back to SQL replay (reuse off, session without
-    # bulk-load support, or a non-integral derived coordinate)
+    # databases that fell back to SQL replay (session without bulk-load
+    # support)
     "fallback_databases": 0,
 }
-
-
-def set_reuse(enabled: bool) -> bool:
-    """Set the process-global reuse switch; returns the previous value."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(enabled)
-    return previous
-
-
-def reuse_enabled() -> bool:
-    """Whether the reuse layer is currently switched on."""
-    return _ENABLED
 
 
 def record_materialisation(kind: str) -> None:

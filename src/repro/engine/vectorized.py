@@ -50,8 +50,8 @@ def compile_select(executor: "Executor", statement: ast.Select) -> "BatchSelectP
     """Lower a ``Select`` into a batch plan, or ``None`` to run scalar.
 
     Compilation is refused when the numpy kernels are unavailable or
-    disabled (``--no-vectorized``) and for the degenerate FROM-less select,
-    where there is nothing to batch.
+    switched off (a test's scalar reference run) and for the degenerate
+    FROM-less select, where there is nothing to batch.
 
     The reuse layer's compiled-plan cache replays the *same* ``statement``
     object across executions with its literal values rebound in place

@@ -26,11 +26,11 @@ counterparts — the float layer only prunes work, it never decides a close
 call.  NaN/inf propagation is safe by construction: any non-finite value
 fails the certainty comparison and takes the exact fallback.
 
-Everything is gated behind a process-wide switch
-(:func:`set_vectorized_kernels`, mirroring the fast-clearance toggle in
-:mod:`repro.topology.noding`) so campaigns can run batch-vs-scalar
-differentially, and degrades to the scalar implementations when numpy is
-not importable.
+The batch kernels always run in production and degrade to the scalar
+implementations when numpy is not importable.  A process-wide switch
+(:func:`set_vectorized_kernels`, like the fast-clearance switch in
+:mod:`repro.topology.noding`) is the test seam that selects the scalar
+reference kernels, so tests can run batch-vs-scalar differentially.
 """
 
 from __future__ import annotations
@@ -57,14 +57,19 @@ _TINY = 1e-300
 Segment = tuple[Coordinate, Coordinate]
 
 # ---------------------------------------------------------------------------
-# Process-wide switch (CampaignConfig.vectorized / --no-vectorized)
+# Process-wide switch: the test seam that selects the scalar reference kernels
 # ---------------------------------------------------------------------------
 
 _VECTORIZED = True
 
 
 def set_vectorized_kernels(enabled: bool) -> bool:
-    """Toggle the batch kernels; returns the previous setting."""
+    """Toggle the batch kernels; returns the previous setting.
+
+    Only tests call this: ``False`` selects the scalar reference kernels
+    for a differential run, and the caller restores the previous setting
+    in ``finally``.  Production code never switches the kernels off.
+    """
     global _VECTORIZED
     previous = _VECTORIZED
     _VECTORIZED = bool(enabled)
@@ -74,8 +79,8 @@ def set_vectorized_kernels(enabled: bool) -> bool:
 def vectorized_kernels_enabled() -> bool:
     """Whether the float-filtered batch kernels are active.
 
-    False when toggled off (``--no-vectorized``) *or* when numpy is not
-    available — callers never need to distinguish the two.
+    False when a test toggled them off *or* when numpy is not available —
+    callers never need to distinguish the two.
     """
     return _VECTORIZED and np is not None
 

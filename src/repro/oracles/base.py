@@ -36,7 +36,7 @@ from repro.backends.base import Capabilities
 from repro.core.generator import DatabaseSpec
 from repro.core.oracle import CrashReport
 from repro.core.qir import Select, structural_signature
-from repro.core.reuse import record_materialisation, reuse_enabled
+from repro.core.reuse import record_materialisation
 from repro.errors import EngineCrash, ReproError
 from repro.geometry import load_wkt
 
@@ -133,16 +133,14 @@ class CampaignOracle:
         ids key every containment/membership check, construction crashes
         become :class:`CrashReport` records, and semantic construction
         errors are ignored.  Returns ``None`` when materialisation failed.
-        With the reuse layer on, sessions that support bulk loading receive
-        the interner's parsed geometries directly instead of replaying the
-        CREATE/INSERT statements (identical storage, no SQL round-trip).
+        Sessions that support bulk loading receive the interner's parsed
+        geometries directly instead of replaying the CREATE/INSERT
+        statements (identical storage, no SQL round-trip).
         """
         started = time.perf_counter()
         try:
             session = session_factory()
-            loader = (
-                getattr(session, "load_geometry_tables", None) if reuse_enabled() else None
-            )
+            loader = getattr(session, "load_geometry_tables", None)
             if loader is not None:
                 record_materialisation("direct")
                 loader(

@@ -149,13 +149,18 @@ def midpoint(a: Coordinate, b: Coordinate) -> Coordinate:
 
 #: process-wide switch for the integer-rescaled clearance kernel.  The two
 #: kernels are exactly equivalent (same rationals, hence identical witness
-#: points); the flag only exists so the execution fast path can be measured
-#: and disabled as one unit (``CampaignConfig.fast_path``).
+#: points); production always runs the integer kernel, and the flag only
+#: exists as the test seam that selects the ``Fraction`` reference kernel.
 _FAST_CLEARANCE = True
 
 
 def set_fast_clearance(enabled: bool) -> bool:
-    """Toggle the integer clearance kernel; returns the previous setting."""
+    """Toggle the integer clearance kernel; returns the previous setting.
+
+    Only tests call this: ``False`` selects the ``Fraction`` reference
+    kernel for a differential run, and the caller restores the previous
+    setting in ``finally``.  Production code never switches it off.
+    """
     global _FAST_CLEARANCE
     previous = _FAST_CLEARANCE
     _FAST_CLEARANCE = bool(enabled)

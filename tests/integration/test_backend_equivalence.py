@@ -1,6 +1,6 @@
 """Differential self-checks for the backend protocol.
 
-Three contracts, in the style of the fast-path equivalence suite:
+Three contracts, in the style of the reference equivalence harness:
 
 1. **The protocol layer is inert.**  The default campaign
    (``backend="inprocess"``) must be finding-for-finding identical to the
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.backends import create_backend
 from repro.core.campaign import CampaignConfig, CampaignResult, TestingCampaign, round_rng
 from repro.core.canonical import clear_canonical_cache
 from repro.core.dedup import Deduplicator
@@ -77,7 +76,7 @@ def _run_legacy(seed: int):
             GeneratorConfig(geometry_count=BASE["geometry_count"], table_count=2),
             rng=rng,
         )
-        oracle = AEIOracle(factory, rng=rng, fast_path=True)
+        oracle = AEIOracle(factory, rng=rng)
         try:
             spec = generator.generate()
         except EngineCrash as crash:
@@ -209,12 +208,3 @@ def test_reference_backend_runs_the_fixed_engine():
     assert campaign.reference_backend is not None
     assert campaign.reference_backend.bug_ids == ()
     assert campaign.backend.capabilities().backend == "inprocess"
-
-
-def test_create_backend_round_trips_campaign_options():
-    backend = create_backend(
-        "inprocess", dialect="mysql", bug_ids=("mysql-crosses-large-coordinates",), fast_path=False
-    )
-    session = backend.open_session()
-    assert session.dialect.name == "mysql"
-    assert session.fast_path is False

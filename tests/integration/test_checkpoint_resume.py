@@ -169,3 +169,25 @@ def test_second_submission_of_same_config_reports_zero_novel(tmp_path):
         # the second run still *observed* the findings — they are sighted,
         # just not novel
         assert store.sighting_count(second_id) == len(finding_records(second))
+
+
+def test_store_written_with_the_retired_campaign_options_still_resumes(tmp_path):
+    """A store whose config snapshot carries the retired ``fast_path``,
+    ``vectorized`` and ``reuse`` keys resumes to ``completed``: the loader
+    drops keys the config no longer has, and the campaign runs the one
+    production path, finding for finding the uninterrupted run."""
+    from dataclasses import asdict
+
+    from repro.store.serialize import jsonable
+
+    store_path = str(tmp_path / "campaign.db")
+    config = CampaignConfig(geometry_count=5, queries_per_round=6, seed=3, workers=1, shards=1)
+    snapshot = {**jsonable(asdict(config)), "fast_path": False, "vectorized": False, "reuse": False}
+    with FindingsStore(store_path) as store:
+        store.create_campaign("retired-options", snapshot, config.seed, target_rounds=3)
+
+    _, resumed = resume_store_campaign(store_path, "retired-options")
+
+    assert stream_projection(resumed) == stream_projection(run_campaign(config, rounds=3))
+    with FindingsStore(store_path) as store:
+        assert store.get_campaign("retired-options")["status"] == "completed"

@@ -7,6 +7,7 @@ serial run's, whatever the shard and worker counts.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import replace
 
 import pytest
@@ -14,6 +15,10 @@ import pytest
 from repro.cli import main
 from repro.core.campaign import CampaignConfig, CampaignResult, TestingCampaign
 from repro.core.parallel import ParallelCampaign, run_campaign, shard_rounds
+from repro.geometry.cache import clear_geometry_cache
+from repro.geometry.columnar import vectorized_kernels_enabled
+from repro.store.serialize import finding_records
+from repro.topology.noding import fast_clearance_enabled
 
 # Three scenarios spanning three follow-up groups (general/canonicalized,
 # similarity/canonicalized, general/uncanonicalized) keep the orchestration
@@ -156,6 +161,50 @@ class TestDeterminism:
         serial_described = [d.describe() for d in serial.discrepancies]
         for discrepancy in shard.discrepancies:
             assert discrepancy.describe() in serial_described
+
+
+class TestOverlappingCampaigns:
+    def test_interleaved_campaigns_match_their_serial_runs(self):
+        """Two campaigns on threads of one process, the ``spatter serve``
+        shape: A's round hook starts B and waits for B's first round, so A
+        starts first and the two interleave.  Each finding stream must
+        equal its serial run, and the process-wide kernel seams must still
+        be on afterwards."""
+        config_a = CONFIG
+        config_b = replace(CONFIG, seed=7, backend="sqlite")
+        rounds = 3
+        serial_a = TestingCampaign(config_a).run(rounds=rounds)
+        serial_b = TestingCampaign(config_b).run(rounds=rounds)
+        assert finding_records(serial_a) and finding_records(serial_b)
+        # The interner evicts on a full table, and eviction is not safe
+        # against a concurrent lookup; start empty so neither thread evicts.
+        clear_geometry_cache()
+
+        b_round_done = threading.Event()
+        outcome: dict[str, CampaignResult] = {}
+
+        def run_b() -> None:
+            campaign_b = TestingCampaign(config_b)
+            campaign_b.round_hook = lambda *_: b_round_done.set()
+            outcome["b"] = campaign_b.run(rounds=rounds)
+
+        thread_b = threading.Thread(target=run_b, daemon=True)
+
+        def start_b_after_first_round(campaign, result) -> None:
+            if result.rounds == 1:
+                thread_b.start()
+                assert b_round_done.wait(timeout=120)
+
+        campaign_a = TestingCampaign(config_a)
+        campaign_a.round_hook = start_b_after_first_round
+        result_a = campaign_a.run(rounds=rounds)
+        thread_b.join(timeout=120)
+        assert not thread_b.is_alive()
+
+        assert finding_records(result_a) == finding_records(serial_a)
+        assert finding_records(outcome["b"]) == finding_records(serial_b)
+        assert vectorized_kernels_enabled()
+        assert fast_clearance_enabled()
 
 
 class TestCampaignResultMerge:

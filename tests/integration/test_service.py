@@ -177,10 +177,13 @@ class TestErrorPaths:
         return json.loads(excinfo.value.read())["error"]
 
     def test_unknown_submission_key_is_400(self, service):
-        message = self.expect_error(
-            lambda: post(service, "/campaigns", {"bogus": 1}), 400
-        )
-        assert "bogus" in message
+        # the retired campaign options are unknown keys like any other
+        for key in ("bogus", "fast_path", "vectorized", "reuse"):
+            message = self.expect_error(
+                lambda: post(service, "/campaigns", {key: False}), 400
+            )
+            assert "unknown submission keys" in message
+            assert key in message
 
     def test_unknown_registry_names_are_400(self, service):
         assert "dialect" in self.expect_error(

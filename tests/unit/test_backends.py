@@ -142,7 +142,7 @@ class _ReadOnlyBackend(Backend):
 
     name = "readonly-test"
 
-    def __init__(self, dialect="postgis", bug_ids=(), fast_path=True):
+    def __init__(self, dialect="postgis", bug_ids=()):
         self.bug_ids = tuple(bug_ids)
 
     def capabilities(self) -> Capabilities:
