@@ -162,6 +162,24 @@ class TestCLI:
             main(["--oracles", "bogus"])
         assert "unknown oracle" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--no-fast-path", "--no-vectorized", "--no-reuse"])
+    def test_retired_reference_path_flags_are_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([flag])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("backend", ["inprocess", "sqlite"])
+    def test_report_labels_fast_path_caches_on_inprocess_only(self, backend, capsys):
+        main(["--backend", backend, "--rounds", "1", "--geometries", "4", "--queries", "4"])
+        lines = capsys.readouterr().out.splitlines()
+        inprocess = backend == "inprocess"
+        assert any(line.startswith("Fast-path caches: ") for line in lines) == inprocess
+        # sqlite sessions have no bulk-load surface: every database falls back
+        (reuse_line,) = [line for line in lines if line.startswith("Reuse layer: ")]
+        assert (" 0 fallback databases" in reuse_line) == inprocess
+        assert reuse_line.startswith("Reuse layer: 0 derived / 0 direct / ") != inprocess
+
     def test_oracle_selection_smoke_run(self, capsys):
         exit_code = main(
             [

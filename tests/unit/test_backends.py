@@ -46,6 +46,13 @@ class TestRegistry:
         assert backend.capabilities().dialect.name == "mysql"
         assert isinstance(create_backend("sqlite"), SQLiteBackend)
 
+    @pytest.mark.parametrize("name", ["inprocess", "sqlite"])
+    def test_create_backend_passes_dialect_and_bug_ids_to_the_session(self, name):
+        bug_ids = ("mysql-crosses-large-coordinates",)
+        session = create_backend(name, dialect="mysql", bug_ids=list(bug_ids)).open_session()
+        assert session.dialect.name == "mysql"
+        assert tuple(bug.bug_id for bug in session.fault_plan.active_bugs) == bug_ids
+
     def test_create_backend_name_is_case_insensitive(self):
         assert isinstance(create_backend("SQLite"), SQLiteBackend)
         assert isinstance(create_backend(" INPROCESS "), InProcessBackend)
@@ -89,6 +96,22 @@ class TestCapabilities:
         assert not capabilities.supports_planner_toggles
         assert not capabilities.supports_auto_indexes
         assert "no-::geometry-cast" in capabilities.summary()
+
+    @pytest.mark.parametrize("fast_path, supported", [(True, True), (False, True), (True, False)])
+    def test_oracle_auto_indexes_follow_session_and_capabilities(self, fast_path, supported):
+        # No oracle-level switch: a fast_path=False session (the Index
+        # oracle's) or a backend without auto-index support gets none.
+        from repro.core.generator import DatabaseSpec
+        from repro.core.oracle import AEIOracle
+        from repro.engine.database import connect
+
+        capabilities = Capabilities(
+            backend="test", dialect=get_dialect("postgis"), supports_auto_indexes=supported
+        )
+        oracle = AEIOracle(lambda: connect("postgis", fast_path=fast_path), capabilities=capabilities)
+        database = oracle.materialise(DatabaseSpec(tables={"t1": ["POINT(1 1)"], "t2": ["POINT(2 2)"]}))
+        indexed = [sorted(table.auto_indexes) for table in database.state.tables.values()]
+        assert indexed == ([["g"], ["g"]] if fast_path and supported else [[], []])
 
     def test_scenarios_resolve_against_capabilities(self):
         from repro.scenarios import applicable_scenarios, resolve_scenarios
