@@ -98,6 +98,7 @@ _KERNEL_STATS = {
     "envelope_blocks": 0,
     "envelope_queries": 0,
     "distance_queries": 0,
+    "prepared_descriptors": 0,
 }
 
 
@@ -109,6 +110,12 @@ def kernel_stats() -> dict[str, int]:
 def clear_kernel_stats() -> None:
     for key in _KERNEL_STATS:
         _KERNEL_STATS[key] = 0
+
+
+def count_prepared_descriptor() -> None:
+    """Count one per-geometry prepared view
+    (:class:`repro.topology.labels.PreparedTopology`)."""
+    _KERNEL_STATS["prepared_descriptors"] += 1
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +266,9 @@ class PointColumns:
 
     ``face_interior`` optionally marks points the *caller* certifies to lie
     strictly inside an arrangement face covering every locator's segments
-    and nodes (the relate engine's exact side-offset construction provides
-    that certificate).  Such points are on no segment and equal to no
+    and nodes (the side-offset witnesses behind a geometry's prepared edge
+    labels, :class:`repro.topology.labels.PreparedTopology`, carry that
+    certificate).  Such points are on no segment and equal to no
     vertex, so locators skip their boundary confirmations entirely — the
     decisions the certificate forecloses, nothing else.
     """

@@ -26,11 +26,12 @@ turning the CLI tester into a long-running campaign service — the
 * ``GET /stats`` — global store statistics (dedup counts by kind/status).
 * ``GET /healthz`` — liveness probe.
 
-Threading model: :class:`ThreadingHTTPServer` gives every request its own
-thread, and every request opens (and closes) its **own**
-:class:`~repro.store.findings.FindingsStore` connection — sqlite handles
-never cross thread boundaries.  Campaign execution happens on daemon
-worker threads that call the same :func:`repro.store.runner.
+Threading model: :class:`ThreadingHTTPServer` gives every HTTP connection
+its own thread, and every connection opens its **own**
+:class:`~repro.store.findings.FindingsStore` on first use, shares it
+between its keep-alive requests and closes it when the connection ends —
+sqlite handles never cross thread boundaries.  Campaign execution happens
+on daemon worker threads that call the same :func:`repro.store.runner.
 run_store_campaign` / :func:`~repro.store.runner.resume_store_campaign`
 drivers the CLI uses, so a campaign submitted over HTTP is
 indistinguishable, store-row for store-row, from one run with
@@ -224,19 +225,37 @@ class ControlPlaneServer(ThreadingHTTPServer):
 
 
 class ControlPlaneHandler(BaseHTTPRequestHandler):
+    """One HTTP connection: its requests, on one thread, share one store."""
+
     server_version = "spatter-service/1"
     # Every response carries Content-Length, so keep-alive is safe and the
     # long-poll endpoint does not pay a reconnect per poll.
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: the headers and the body go out in two sends, and on a
+    # keep-alive connection Nagle would hold the body back until the
+    # client's delayed ACK of the headers (~40 ms per response).
+    disable_nagle_algorithm = True
+    _connection_store: FindingsStore | None = None
 
     # ------------------------------------------------------------- plumbing
+    def finish(self) -> None:
+        try:
+            super().finish()
+        finally:
+            if self._connection_store is not None:
+                self._connection_store.close()
+                self._connection_store = None
+
     def log_message(self, format: str, *args) -> None:  # noqa: A002 - stdlib signature
         if self.server.verbose:
             super().log_message(format, *args)
 
     def _store(self) -> FindingsStore:
-        """A fresh per-request connection (closed by the route handlers)."""
-        return FindingsStore(self.server.store_path)
+        """The connection's store, opened on first use and closed in
+        :meth:`finish`; the handler's thread is its only user."""
+        if self._connection_store is None:
+            self._connection_store = FindingsStore(self.server.store_path)
+        return self._connection_store
 
     def _send_json(self, payload, status: int = 200) -> None:
         body = json.dumps(payload, sort_keys=True, indent=2).encode("utf-8") + b"\n"
@@ -290,12 +309,10 @@ class ControlPlaneHandler(BaseHTTPRequestHandler):
             self._send_json({"status": "ok", "store": self.server.store_path})
             return
         if parts == ["stats"]:
-            with self._store() as store:
-                self._send_json(store.stats())
+            self._send_json(self._store().stats())
             return
         if parts == ["campaigns"]:
-            with self._store() as store:
-                self._send_json({"campaigns": store.list_campaigns()})
+            self._send_json({"campaigns": self._store().list_campaigns()})
             return
         if parts == ["findings"]:
             self._get_findings()
@@ -314,29 +331,29 @@ class ControlPlaneHandler(BaseHTTPRequestHandler):
         self._send_error_json(f"no such resource: GET {self.path}", status=404)
 
     def _get_campaign(self, campaign_id: str) -> None:
-        with self._store() as store:
-            campaign = store.get_campaign(campaign_id)
-            if campaign is None:
-                self._send_error_json(f"no campaign {campaign_id!r}", status=404)
-                return
-            checkpoints = store.campaign_checkpoints(campaign_id)
-            campaign["progress"] = {
-                "rounds_completed": sum(row["rounds_completed"] for row in checkpoints),
-                "shards_done": sum(1 for row in checkpoints if row["done"]),
-                "shards": checkpoints,
-                "sightings": store.sighting_count(campaign_id),
-                "novel_findings": store.novel_finding_count(campaign_id),
-            }
-            campaign["arm_stats"] = store.campaign_arm_stats(campaign_id)
+        store = self._store()
+        campaign = store.get_campaign(campaign_id)
+        if campaign is None:
+            self._send_error_json(f"no campaign {campaign_id!r}", status=404)
+            return
+        checkpoints = store.campaign_checkpoints(campaign_id)
+        campaign["progress"] = {
+            "rounds_completed": sum(row["rounds_completed"] for row in checkpoints),
+            "shards_done": sum(1 for row in checkpoints if row["done"]),
+            "shards": checkpoints,
+            "sightings": store.sighting_count(campaign_id),
+            "novel_findings": store.novel_finding_count(campaign_id),
+        }
+        campaign["arm_stats"] = store.campaign_arm_stats(campaign_id)
         campaign["active"] = self.server.runner.is_active(campaign_id)
         self._send_json(campaign)
 
     def _get_campaign_findings(self, campaign_id: str) -> None:
-        with self._store() as store:
-            if store.get_campaign(campaign_id) is None:
-                self._send_error_json(f"no campaign {campaign_id!r}", status=404)
-                return
-            findings = store.campaign_findings(campaign_id)
+        store = self._store()
+        if store.get_campaign(campaign_id) is None:
+            self._send_error_json(f"no campaign {campaign_id!r}", status=404)
+            return
+        findings = store.campaign_findings(campaign_id)
         self._send_json({"campaign_id": campaign_id, "findings": findings})
 
     def _get_campaign_events(self, campaign_id: str) -> None:
@@ -349,13 +366,13 @@ class ControlPlaneHandler(BaseHTTPRequestHandler):
             wait = min(float(query.get("wait", _DEFAULT_WAIT)), _MAX_WAIT)
         except ValueError as error:
             raise ValueError("wait must be a number of seconds") from error
-        with self._store() as store:
-            campaign = store.get_campaign(campaign_id)
-            if campaign is None:
-                self._send_error_json(f"no campaign {campaign_id!r}", status=404)
-                return
-            events = wait_for_events(store, campaign_id, after, wait)
-            status = store.get_campaign(campaign_id)["status"]
+        store = self._store()
+        campaign = store.get_campaign(campaign_id)
+        if campaign is None:
+            self._send_error_json(f"no campaign {campaign_id!r}", status=404)
+            return
+        events = wait_for_events(store, campaign_id, after, wait)
+        status = store.get_campaign(campaign_id)["status"]
         cursor = events[-1]["cursor"] if events else after
         self._send_json(
             {"campaign_id": campaign_id, "status": status, "cursor": cursor, "events": events}
@@ -369,15 +386,14 @@ class ControlPlaneHandler(BaseHTTPRequestHandler):
                 limit = int(limit)
             except ValueError as error:
                 raise ValueError("limit must be an integer") from error
-        with self._store() as store:
-            findings = store.query_findings(
-                signature=query.get("signature"),
-                scenario=query.get("scenario"),
-                oracle=query.get("oracle"),
-                kind=query.get("kind"),
-                since=query.get("since"),
-                limit=limit,
-            )
+        findings = self._store().query_findings(
+            signature=query.get("signature"),
+            scenario=query.get("scenario"),
+            oracle=query.get("oracle"),
+            kind=query.get("kind"),
+            since=query.get("since"),
+            limit=limit,
+        )
         self._send_json({"findings": findings})
 
     # ------------------------------------------------------------------ POST
@@ -405,8 +421,7 @@ class ControlPlaneHandler(BaseHTTPRequestHandler):
         unknown = set(body) - {"rounds", "duration_seconds"}
         if unknown:
             raise ValueError(f"unknown resume keys: {', '.join(sorted(unknown))}")
-        with self._store() as store:
-            campaign = store.get_campaign(campaign_id)
+        campaign = self._store().get_campaign(campaign_id)
         if campaign is None:
             self._send_error_json(f"no campaign {campaign_id!r}", status=404)
             return

@@ -43,9 +43,18 @@ from repro.geometry.columnar import (
     PointColumns,
     RingLocator,
     SegmentsLocator,
+    count_prepared_descriptor,
     vectorized_kernels_enabled,
 )
 from repro.geometry.primitives import point_in_ring, point_on_segment
+from repro.topology.noding import (
+    OffsetContext,
+    fast_clearance_enabled,
+    midpoint,
+    refine_split,
+    side_offsets,
+    split_points,
+)
 
 INTERIOR = "I"
 BOUNDARY = "B"
@@ -63,6 +72,9 @@ VALID_STRATEGIES = (
 )
 
 Segment = tuple[Coordinate, Coordinate]
+#: a noded edge's classes (left of it, on it, right of it), oriented along
+#: the edge.
+EdgeLabel = tuple[str, str, str]
 
 
 class _Component:
@@ -317,6 +329,7 @@ class TopologyDescriptor:
         self.components: list[_Component] = []
         self._decompose(geometry)
         self.components = [c for c in self.components if not c.is_empty]
+        self._prepared: PreparedTopology | None = None
 
     def _decompose(self, geometry: Geometry) -> None:
         if isinstance(geometry, Point):
@@ -413,6 +426,87 @@ class TopologyDescriptor:
     def has_area(self) -> bool:
         """True if any component is 2-dimensional."""
         return any(component.dimension == 2 for component in self.components)
+
+    def prepared(self) -> "PreparedTopology":
+        """The geometry's edge labels, built on first use."""
+        view = self._prepared
+        if view is None:
+            # Built completely before the one assignment that publishes it:
+            # a thread sharing this descriptor sees no view or a whole one.
+            view = PreparedTopology(self)
+            self._prepared = view
+        return view
+
+
+class PreparedTopology:
+    """One geometry's own noded arrangement, labelled once for every pair
+    it takes part in (the per-input edge labels of JTS/GEOS relate).
+
+    * ``segments`` / ``points`` — the descriptor's segments and isolated
+      points, as :meth:`TopologyDescriptor.segments` and
+      :meth:`~TopologyDescriptor.isolated_points` return them;
+    * ``splits[i]`` — segment ``i``'s self-cut points (where the
+      geometry's other segments and points meet it) from its start to its
+      end, endpoints included;
+    * ``labels[i][k]`` — the ``(left, on, right)`` classes of the
+      self-noded edge ``splits[i][k]``–``splits[i][k + 1]``, oriented along
+      segment ``i``.
+
+    The locator is constant on the open edges and faces of the geometry's
+    own arrangement, so the labels hold along the whole edge: ``on`` is
+    located at the edge's midpoint and ``left``/``right`` at the existing
+    side-offset witnesses of that arrangement, which lie strictly inside
+    its faces (the locators' face-interior certificate).
+    """
+
+    def __init__(self, descriptor: TopologyDescriptor):
+        count_prepared_descriptor()
+        self.segments = descriptor.segments()
+        self.points = descriptor.isolated_points()
+        self.splits = split_points(self.segments, self.points)
+        nodes = set(self.points)
+        unique: dict[Segment, None] = {}
+        for ordered in self.splits:
+            nodes.update(ordered)
+            for start, end in zip(ordered, ordered[1:]):
+                if (end, start) not in unique:
+                    unique[(start, end)] = None
+        edges = list(unique)
+        context = OffsetContext(edges, nodes) if fast_clearance_enabled() else None
+        if context is not None:
+            context.prescreen(edges)
+        witnesses: list[Coordinate] = []
+        for edge in edges:
+            witnesses.extend(side_offsets(edge, edges, nodes, context=context))
+        witnesses.extend(midpoint(start, end) for start, end in edges)
+        count = len(edges)
+        classes = descriptor.locate_many(
+            witnesses, [True] * (2 * count) + [False] * count
+        )
+        oriented: dict[Segment, EdgeLabel] = {}
+        for index, (start, end) in enumerate(edges):
+            left, right = classes[2 * index], classes[2 * index + 1]
+            on = classes[2 * count + index]
+            oriented[(start, end)] = (left, on, right)
+            oriented[(end, start)] = (right, on, left)
+        self.labels = [
+            [oriented[edge] for edge in zip(ordered, ordered[1:])]
+            for ordered in self.splits
+        ]
+
+    def pieces(self, cuts: Sequence[set[Coordinate]]) -> dict[Segment, EdgeLabel]:
+        """The self-noded edges cut further at ``cuts[i]`` along segment
+        ``i``: every piece, oriented along its segment, with the labels of
+        the edge that contains it.  A piece two segments share is kept
+        once, in the orientation met first."""
+        result: dict[Segment, EdgeLabel] = {}
+        for (a, b), ordered, labels, extra in zip(
+            self.segments, self.splits, self.labels, cuts
+        ):
+            for start, end, k in refine_split(a, b, ordered, extra):
+                if (end, start) not in result:
+                    result.setdefault((start, end), labels[k])
+        return result
 
 
 def combine_classes(classes: Sequence[str], strategy: str) -> str:

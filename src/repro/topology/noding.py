@@ -8,6 +8,11 @@ every point where it meets any other segment (including collinear overlaps)
 geometry is constant along the open interior of every sub-segment and on the
 interior of every face.
 
+The prepared relate path splits that work per operand: each geometry's own
+segments are noded once (:func:`split_points`), and each pair only cuts
+one operand's segments at the other's (:func:`cross_cut_points`); both go
+through the same exact pair-intersection step.
+
 The implementation is an O(n²) pairwise noder.  The paper's generator
 produces geometries with a handful of vertices, so quadratic noding is far
 from the bottleneck (the paper's own Figure 7 shows SDBMS execution time
@@ -50,76 +55,147 @@ def node_segments(
     interiors are pairwise disjoint.
     """
     segments = [s for s in segments if s[0] != s[1]]
-    extra = list(extra_points)
-    # Float prescreen (vectorized kernels only): pairs that certainly have
-    # no intersection point skip the exact test.  ``None`` keeps the full
-    # pairwise loop, so the reference configuration is untouched.
-    candidates = segment_pair_candidates(segments)
-    # Intersections are symmetric in the pair: in vectorized mode each
-    # unordered pair computes its exact cut points once and the partner
-    # reuses them (the reference loop recomputes, matching history).
-    pair_cache: dict[tuple[int, int], tuple[Coordinate, ...]] = {}
     result: list[Segment] = []
-    for index, (a, b) in enumerate(segments):
-        cut_points: set[Coordinate] = {a, b}
-        partner_indices = (
-            ((other, False) for other in range(len(segments)) if other != index)
-            if candidates is None
-            else candidates[index]
-        )
-        for other_index, certainly_proper in partner_indices:
-            c, d = segments[other_index]
-            pair_key = (
-                (index, other_index) if index < other_index else (other_index, index)
-            )
-            if certainly_proper:
-                cached = pair_cache.get(pair_key)
-                if cached is None:
-                    # The prescreen certified a single interior crossing;
-                    # the exact orientation preamble of segment_intersection
-                    # would only re-derive that before computing the point.
-                    point = _line_intersection_point(a, b, c, d)
-                    cached = () if point is None else (point,)
-                    pair_cache[pair_key] = cached
-                cut_points.update(cached)
-                continue
-            # Exact shared-endpoint fast paths (ring adjacency dominates the
-            # candidate pairs): segments with identical endpoint sets overlap
-            # exactly along themselves, and two non-collinear segments with
-            # one common endpoint meet only there — in both cases every cut
-            # point is already an endpoint of this segment.  Applied only in
-            # vectorized mode so the reference configuration keeps the
-            # historical code path step for step.
-            if candidates is not None:
-                a_shared = a == c or a == d
-                b_shared = b == c or b == d
-                if a_shared and b_shared:
-                    continue
-                if a_shared or b_shared:
-                    shared, other_own = (a, b) if a_shared else (b, a)
-                    other_partner = d if shared == c else c
-                    if orientation(shared, other_own, other_partner) != COLLINEAR:
-                        continue
-                cached = pair_cache.get(pair_key)
-                if cached is None:
-                    cached = tuple(segment_intersection(a, b, c, d))
-                    pair_cache[pair_key] = cached
-                cut_points.update(cached)
-                continue
-            for point in segment_intersection(a, b, c, d):
-                cut_points.add(point)
-        for point in extra:
-            if point_on_segment(point, a, b):
-                cut_points.add(point)
-        ordered = _order_along_segment(a, b, cut_points, fast=candidates is not None)
-        for start, end in zip(ordered, ordered[1:]):
-            if start != end:
-                result.append((start, end))
+    for ordered in split_points(segments, extra_points):
+        result.extend(zip(ordered, ordered[1:]))
     return result
 
 
+def split_points(
+    segments: Sequence[Segment], extra_points: Iterable[Coordinate] = ()
+) -> list[list[Coordinate]]:
+    """Per non-degenerate segment, every point where another segment or an
+    ``extra_points`` entry meets it, its endpoints included, ordered from
+    its start to its end.  Consecutive points are the segment's noded
+    pieces (:func:`node_segments`)."""
+    # Float prescreen (vectorized kernels only): pairs that certainly have
+    # no intersection point skip the exact test.
+    candidates = segment_pair_candidates(segments)
+    cuts = [{a, b} for a, b in segments]
+    _cut_pairs(segments, candidates, cuts, range(len(segments)), 0)
+    _cut_at_points(segments, list(extra_points), cuts)
+    fast = candidates is not None
+    return [
+        _order_along_segment(a, b, cut, fast=fast) for (a, b), cut in zip(segments, cuts)
+    ]
+
+
+def cross_cut_points(
+    segments_a: Sequence[Segment],
+    points_a: Sequence[Coordinate],
+    segments_b: Sequence[Segment],
+    points_b: Sequence[Coordinate],
+) -> tuple[list[set[Coordinate]], list[set[Coordinate]]]:
+    """Where each operand cuts the other's segments.
+
+    Returns, per segment of A, the points where B's segments and isolated
+    points meet it, and per segment of B the same for A.  Pairs within one
+    operand are not intersected: a prepared operand already holds its own
+    cut points (:class:`repro.topology.labels.PreparedTopology`).
+    """
+    segments = [*segments_a, *segments_b]
+    split = len(segments_a)
+    cuts: list[set[Coordinate]] = [set() for _ in segments]
+    _cut_pairs(segments, segment_pair_candidates(segments), cuts, range(split), split)
+    _cut_at_points(segments_a, points_b, cuts[:split])
+    _cut_at_points(segments_b, points_a, cuts[split:])
+    return cuts[:split], cuts[split:]
+
+
+def _cut_pairs(
+    segments: Sequence[Segment],
+    candidates: list[list[tuple[int, bool]]] | None,
+    cuts: list[set[Coordinate]],
+    rows: Iterable[int],
+    first_partner: int,
+) -> None:
+    """Add the exact intersection points of segment pairs to both cut sets.
+
+    Visits each unordered pair ``(i, j)`` once, with ``i`` in ``rows`` and
+    ``j > i``, ``j >= first_partner``; ``candidates`` (from
+    :func:`segment_pair_candidates`) narrows the partners, ``None`` tests
+    every pair.
+    """
+    count = len(segments)
+    for index in rows:
+        a, b = segments[index]
+        partners = (
+            ((other, False) for other in range(count))
+            if candidates is None
+            else candidates[index]
+        )
+        for other, certainly_proper in partners:
+            if other <= index or other < first_partner:
+                continue
+            points = _pair_cut_points(a, b, *segments[other], certainly_proper)
+            cuts[index].update(points)
+            cuts[other].update(points)
+
+
+def _pair_cut_points(
+    a: Coordinate, b: Coordinate, c: Coordinate, d: Coordinate, certainly_proper: bool
+) -> Sequence[Coordinate]:
+    """The points where segments ``a``–``b`` and ``c``–``d`` cut each other,
+    possibly omitting points that are endpoints of both."""
+    if certainly_proper:
+        # The prescreen certified a single interior crossing; the exact
+        # orientation preamble of segment_intersection would only re-derive
+        # that before computing the point.
+        point = _line_intersection_point(a, b, c, d)
+        return () if point is None else (point,)
+    # Exact shared-endpoint fast paths (ring adjacency dominates the
+    # candidate pairs): segments with identical endpoint sets overlap
+    # exactly along themselves, and two non-collinear segments with one
+    # common endpoint meet only there — in both cases every cut point is
+    # already an endpoint of both segments.
+    a_shared = a == c or a == d
+    b_shared = b == c or b == d
+    if a_shared and b_shared:
+        return ()
+    if a_shared or b_shared:
+        shared, own = (a, b) if a_shared else (b, a)
+        partner = d if shared == c else c
+        if orientation(shared, own, partner) != COLLINEAR:
+            return ()
+    return segment_intersection(a, b, c, d)
+
+
+def _cut_at_points(
+    segments: Sequence[Segment], points: Sequence[Coordinate], cuts: list[set[Coordinate]]
+) -> None:
+    """Add every point lying on a segment to that segment's cut set."""
+    for (a, b), cut in zip(segments, cuts):
+        for point in points:
+            if point_on_segment(point, a, b):
+                cut.add(point)
+
+
+def refine_split(
+    a: Coordinate, b: Coordinate, ordered: Sequence[Coordinate], extra: set[Coordinate]
+) -> list[tuple[Coordinate, Coordinate, int]]:
+    """Cut the pieces of segment ``a``–``b`` further at ``extra`` points.
+
+    ``ordered`` holds the segment's current split points from ``a`` to
+    ``b`` (as :func:`split_points` returns them).  Each returned piece
+    ``(start, end, k)`` lies inside the current piece ``ordered[k]``–
+    ``ordered[k + 1]``.
+    """
+    if extra:
+        extra = extra.difference(ordered)
+    if not extra:
+        return [(start, end, k) for k, (start, end) in enumerate(zip(ordered, ordered[1:]))]
+    merged = _order_along_segment(a, b, extra.union(ordered), fast=True)
+    pieces = []
+    k = 0
+    for start, end in zip(merged, merged[1:]):
+        pieces.append((start, end, k))
+        if end == ordered[k + 1]:
+            k += 1
+    return pieces
+
+
 def _order_along_segment(
-    a: Coordinate, b: Coordinate, points: set[Coordinate], fast: bool = False
+    a: Coordinate, b: Coordinate, points: Iterable[Coordinate], fast: bool = False
 ) -> list[Coordinate]:
     """Order split points along the segment from ``a`` to ``b``.
 

@@ -1,19 +1,47 @@
 """DE-9IM intersection-matrix computation (the paper's Definition 2.3).
 
-The matrix is computed by *arrangement sampling*:
+The matrix is computed by *arrangement sampling*: each cell of the planar
+arrangement of both geometries — every node (dimension 0), every noded
+sub-segment (dimension 1) and the faces beside each sub-segment
+(dimension 2) — contributes its dimension to the matrix entry addressed by
+its (class in A, class in B) pair; entries keep the maximum contribution,
+exactly the dimension semantics of the DE-9IM dimension calculator D.
 
-1. decompose both geometries into labelled components
-   (:class:`~repro.topology.labels.TopologyDescriptor`);
-2. fully node the union of their segments
-   (:func:`~repro.topology.noding.node_segments`), so classifications are
-   constant on the open edges and faces of the induced arrangement;
-3. classify witness points — every node (dimension-0 cell), every sub-segment
-   midpoint (dimension-1 cell) and a side-offset point next to every midpoint
-   (dimension-2 cell) — with both geometries' point locators;
-4. each witness contributes its cell dimension to the matrix entry addressed
-   by its (class in A, class in B) pair; entries keep the maximum
-   contribution, exactly the dimension semantics of the DE-9IM dimension
-   calculator D.
+1. Decompose both geometries into labelled components
+   (:class:`~repro.topology.labels.TopologyDescriptor`).
+2. Prepare each operand once (:meth:`TopologyDescriptor.prepared`): node
+   its own segments, and label every self-noded edge with its oriented
+   (left, on, right) classes, located at the edge's midpoint and at
+   side-offset witnesses of that arrangement.  A descriptor memoised in
+   ``_DESCRIPTOR_CACHE`` carries its prepared view to every pair the
+   geometry takes part in.
+3. Cut A's original segments at B's segments and isolated points, and B's
+   at A's (:func:`~repro.topology.noding.cross_cut_points`).  Together
+   with the self-cut points these are the nodes and sub-segments of the
+   full noding of both geometries.
+4. Read the classes of every cell.  A geometry's locator is constant on
+   the open cells of its own noded arrangement, so for a sub-segment s and
+   an operand X:
+
+   (a) if s does not lie on X, X's class on both sides of s equals X's
+       class at s's midpoint — the open s lies in one open face of X's
+       arrangement;
+   (b) if s lies on X, X's classes on its two sides equal the side labels
+       of the X edge that contains s, with the directions aligned.
+
+   Nodes are located in both operands, and each sub-segment that lies on
+   one operand only has its midpoint located in the other; every
+   dimension-1 and dimension-2 entry then comes from edge labels, and no
+   side-offset point is built per pair.
+
+The scalar reference path (``set_vectorized_kernels(False)``) keeps the
+per-pair witness construction: node the union of both geometries' segments
+(:func:`~repro.topology.noding.node_segments`), build two side-offset
+witnesses next to every sub-segment midpoint, and locate every node,
+midpoint and witness in both operands.  Both constructions visit the same
+nodes and sub-segments, so their matrices are equal by construction; the
+reference-equivalence harness and ``tests/property/test_vectorized_kernels.py``
+compare them.
 
 Because both geometries are bounded and the plane is not, the
 exterior/exterior entry is always 2.
@@ -31,10 +59,13 @@ from repro.topology.labels import (
     EXTERIOR,
     INTERIOR,
     UNION_STRATEGY,
+    EdgeLabel,
+    Segment,
     TopologyDescriptor,
 )
 from repro.topology.noding import (
     OffsetContext,
+    cross_cut_points,
     fast_clearance_enabled,
     midpoint,
     node_segments,
@@ -162,9 +193,10 @@ _RELATE_ID_CACHE_LIMIT = 16384
 _RELATE_STATS = {"hits": 0, "misses": 0}
 
 #: identity-keyed descriptor memo used by the vectorized kernels: a geometry
-#: participating in many relate pairs reuses one decomposition (and hence
-#: the float edge tables its components build lazily).  Values pin the
-#: geometry so ids cannot be recycled while the entry lives.
+#: participating in many relate pairs reuses one decomposition, and with it
+#: the prepared edge labels and float edge tables the descriptor builds
+#: lazily.  Values pin the geometry so ids cannot be recycled while the
+#: entry lives.
 _DESCRIPTOR_CACHE: dict[tuple[int, str], tuple[Geometry, TopologyDescriptor]] = {}
 _DESCRIPTOR_CACHE_LIMIT = 8192
 
@@ -233,9 +265,9 @@ def _descriptor_for(geometry: Geometry, strategy: str) -> TopologyDescriptor:
     """A (possibly memoised) descriptor for one relate operand.
 
     Memoisation only runs with the vectorized kernels on: the payoff is
-    reusing the float edge tables a descriptor's components build lazily,
-    and keeping the reference configuration allocation-for-allocation
-    identical to the historical behaviour.
+    reusing the prepared edge labels and float edge tables a descriptor
+    builds lazily, and keeping the reference configuration
+    allocation-for-allocation identical to the historical behaviour.
     """
     if not vectorized_kernels_enabled():
         return TopologyDescriptor(geometry, strategy)
@@ -253,13 +285,84 @@ def _descriptor_for(geometry: Geometry, strategy: str) -> TopologyDescriptor:
 def relate_descriptors(
     descriptor_a: TopologyDescriptor, descriptor_b: TopologyDescriptor
 ) -> IntersectionMatrix:
-    """Compute the DE-9IM matrix from two prepared descriptors."""
-    matrix = IntersectionMatrix()
-    matrix.set(EXTERIOR, EXTERIOR, 2)
-
+    """Compute the DE-9IM matrix from two descriptors."""
     fast = _envelope_disjoint_matrix(descriptor_a, descriptor_b)
     if fast is not None:
         return fast
+    if vectorized_kernels_enabled():
+        return _relate_prepared(descriptor_a, descriptor_b)
+    return _relate_by_witnesses(descriptor_a, descriptor_b)
+
+
+def _relate_prepared(
+    descriptor_a: TopologyDescriptor, descriptor_b: TopologyDescriptor
+) -> IntersectionMatrix:
+    """The matrix from both operands' edge labels (batch kernels)."""
+    view_a = descriptor_a.prepared()
+    view_b = descriptor_b.prepared()
+    # Each operand's segments already hold their own cut points; cutting
+    # them at the other operand's segments and points completes the
+    # noding of the pair arrangement.
+    cuts_a, cuts_b = cross_cut_points(
+        view_a.segments, view_a.points, view_b.segments, view_b.points
+    )
+    pieces_a = view_a.pieces(cuts_a)
+    pieces_b = view_b.pieces(cuts_b)
+
+    nodes: set[Coordinate] = set(view_a.points)
+    nodes.update(view_b.points)
+    for start, end in pieces_a:
+        nodes.add(start)
+        nodes.add(end)
+    for start, end in pieces_b:
+        nodes.add(start)
+        nodes.add(end)
+
+    matrix = IntersectionMatrix()
+    matrix.set(EXTERIOR, EXTERIOR, 2)
+    # A piece on both operands reads both label triples, A's reversed when
+    # its piece runs against B's; what stays in pieces_a lies on A only.
+    only_b: dict[Segment, EdgeLabel] = {}
+    for piece, label_b in pieces_b.items():
+        label_a = pieces_a.pop(piece, None)
+        if label_a is None:
+            label_a = pieces_a.pop((piece[1], piece[0]), None)
+            if label_a is None:
+                only_b[piece] = label_b
+                continue
+            label_a = label_a[::-1]
+        left_a, on_a, right_a = label_a
+        left_b, on_b, right_b = label_b
+        matrix.set(on_a, on_b, 1)
+        matrix.set(left_a, left_b, 2)
+        matrix.set(right_a, right_b, 2)
+
+    # Nodes are located in both operands; a one-operand piece's midpoint
+    # only in the other operand, whose class holds on both of its sides.
+    node_list = list(nodes)
+    count = len(node_list)
+    classes_a = descriptor_a.locate_many(node_list + [midpoint(*piece) for piece in only_b])
+    classes_b = descriptor_b.locate_many(node_list + [midpoint(*piece) for piece in pieces_a])
+    for class_a, class_b in zip(classes_a[:count], classes_b[:count]):
+        matrix.set(class_a, class_b, 0)
+    for (left, on, right), class_b in zip(pieces_a.values(), classes_b[count:]):
+        matrix.set(on, class_b, 1)
+        matrix.set(left, class_b, 2)
+        matrix.set(right, class_b, 2)
+    for (left, on, right), class_a in zip(only_b.values(), classes_a[count:]):
+        matrix.set(class_a, on, 1)
+        matrix.set(class_a, left, 2)
+        matrix.set(class_a, right, 2)
+    return matrix
+
+
+def _relate_by_witnesses(
+    descriptor_a: TopologyDescriptor, descriptor_b: TopologyDescriptor
+) -> IntersectionMatrix:
+    """The matrix from witnesses of the pair's arrangement (scalar
+    kernels): the reference construction the prepared one must match."""
+    matrix = IntersectionMatrix()
+    matrix.set(EXTERIOR, EXTERIOR, 2)
 
     segments_a = descriptor_a.segments()
     segments_b = descriptor_b.segments()
@@ -276,8 +379,7 @@ def relate_descriptors(
 
     # Collect every witness point with its cell dimension, then classify
     # them in one batch per descriptor.  Matrix entries keep the maximum
-    # contribution, so the accumulation order is immaterial and the batch
-    # is entry-for-entry identical to classifying point by point.
+    # contribution, so the accumulation order is immaterial.
     witness_points: list[Coordinate] = list(nodes)
     witness_dimensions: list[int] = [0] * len(witness_points)
 
@@ -286,18 +388,11 @@ def relate_descriptors(
     # Fraction normalisation); skipped entirely when the kernel is off.
     offset_context = OffsetContext(noded_union, nodes) if fast_clearance_enabled() else None
     seen_midpoints: set[Coordinate] = set()
-    unique_segments: list[tuple[tuple[Coordinate, Coordinate], Coordinate]] = []
     for segment in noded_union:
         mid = midpoint(segment[0], segment[1])
         if mid in seen_midpoints:
             continue
         seen_midpoints.add(mid)
-        unique_segments.append((segment, mid))
-    if offset_context is not None:
-        # Vectorized kernels: one batched clearance prescreen for every
-        # side-offset query of this arrangement (no-op when they are off).
-        offset_context.prescreen([segment for segment, _ in unique_segments])
-    for segment, mid in unique_segments:
         witness_points.append(mid)
         witness_dimensions.append(1)
         left, right = side_offsets(segment, noded_union, nodes, context=offset_context)
@@ -306,18 +401,8 @@ def relate_descriptors(
         witness_dimensions.append(2)
         witness_dimensions.append(2)
 
-    # Dimension-2 witnesses carry an exact certificate from the side-offset
-    # construction: they lie strictly inside an arrangement face, hence on
-    # no segment and at no node of either geometry.  The locators use it to
-    # skip boundary confirmations (vectorized kernels only; the scalar
-    # reference path never consults it).
-    face_interior = (
-        [dimension == 2 for dimension in witness_dimensions]
-        if vectorized_kernels_enabled()
-        else None
-    )
-    classes_a = descriptor_a.locate_many(witness_points, face_interior)
-    classes_b = descriptor_b.locate_many(witness_points, face_interior)
+    classes_a = descriptor_a.locate_many(witness_points)
+    classes_b = descriptor_b.locate_many(witness_points)
     for class_a, class_b, cell_dimension in zip(classes_a, classes_b, witness_dimensions):
         matrix.set(class_a, class_b, cell_dimension)
 

@@ -260,17 +260,19 @@ def test_fast_path_actually_engaged():
 
 
 def test_batch_kernels_actually_engaged():
-    """The optimised run must show batch relate-kernel traffic and the
-    scalar reference run none.  (The envelope prescreen is expected to stay
-    *off* in a release emulation — every topological predicate is
-    influenced by an active bug, so the observability gate disables
-    candidate skipping; the clean-campaign test below covers the prescreen
-    kernels.)"""
+    """The optimised run must show batch relate-kernel traffic, prepared
+    edge labels among it, and the scalar reference run none.  (The
+    envelope prescreen is expected to stay *off* in a release emulation —
+    every topological predicate is influenced by an active bug, so the
+    observability gate disables candidate skipping; the clean-campaign
+    test below covers the prescreen kernels.)"""
     optimised, reference = _pair(VECTORIZED, SEEDS[1], "inprocess")
     assert optimised.kernels.get("ring_batches", 0) > 0
     assert optimised.kernels.get("noding_prescreens", 0) > 0
+    assert optimised.kernels.get("prepared_descriptors", 0) > 0
     assert reference.kernels.get("ring_batches", 0) == 0
     assert reference.kernels.get("noding_prescreens", 0) == 0
+    assert reference.kernels.get("prepared_descriptors", 0) == 0
     assert reference.seam_states == (False,) * ROUNDS
 
 

@@ -10,18 +10,23 @@ construction).
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
+import statistics
 import subprocess
 import sys
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
 
+from repro.service import app as service_app
 from repro.service import create_server
+from repro.store.findings import FindingsStore
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
@@ -209,3 +214,60 @@ class TestErrorPaths:
 
     def test_healthz(self, service):
         assert get(service, "/healthz")["status"] == "ok"
+
+
+def keep_alive(base: str) -> http.client.HTTPConnection:
+    address = urllib.parse.urlparse(base)
+    return http.client.HTTPConnection(address.hostname, address.port, timeout=30)
+
+
+def exchange(connection: http.client.HTTPConnection, path: str) -> dict:
+    connection.request("GET", path)
+    response = connection.getresponse()
+    body = json.loads(response.read())
+    assert response.status == 200, body
+    return body
+
+
+class TestKeepAliveConnections:
+    def test_keep_alive_responses_do_not_wait_for_delayed_acks(self, service):
+        # Headers and body go out in two sends; with Nagle on, the body
+        # waits for the client's delayed ACK (~40 ms on Linux) per request.
+        connection = keep_alive(service)
+        timings = []
+        try:
+            for _ in range(20):
+                started = time.perf_counter()
+                assert exchange(connection, "/healthz")["status"] == "ok"
+                timings.append(time.perf_counter() - started)
+        finally:
+            connection.close()
+        assert statistics.median(timings) < 0.010, timings
+
+    def test_one_store_per_connection_closed_on_disconnect(self, service, monkeypatch):
+        opened: list[FindingsStore] = []
+        closed: list[FindingsStore] = []
+
+        class RecordingStore(FindingsStore):
+            def __init__(self, path):
+                super().__init__(path)
+                opened.append(self)
+
+            def close(self):
+                closed.append(self)
+                super().close()
+
+        monkeypatch.setattr(service_app, "FindingsStore", RecordingStore)
+        connection = keep_alive(service)
+        try:
+            for path in ("/stats", "/campaigns", "/findings", "/campaigns", "/stats"):
+                exchange(connection, path)
+            assert len(opened) == 1
+            assert not closed
+        finally:
+            connection.close()
+        # The handler thread notices the disconnect and finishes.
+        deadline = time.monotonic() + 10
+        while not closed and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert closed == opened

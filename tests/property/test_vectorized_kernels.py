@@ -22,9 +22,10 @@ counterpart on mixed, EMPTY and collection geometries:
   Fraction envelope intersection, and ``within_distance`` never prunes a
   row that ``measures.dwithin`` accepts (EMPTY rows always survive, NULL
   rows never appear);
-* batch relate dispatch: ``relate_descriptors`` with the kernels on
-  equals the scalar path with the kernels off, under both collection
-  strategies;
+* batch relate dispatch: ``relate_descriptors`` with the kernels on (the
+  prepared edge-label construction) equals the scalar path with the
+  kernels off (per-pair witnesses) on adversarial pairs, under all three
+  collection strategies;
 * Listing-7-style fault transparency: with injected GEOS/PostGIS
   collection bugs active, SQL predicate results *and the triggered-bug
   stream* are identical with the kernels on and off — the float kernels
@@ -67,8 +68,13 @@ from repro.geometry.primitives import (
     segment_intersection,
 )
 from repro.topology import measures
-from repro.topology.labels import LAST_ONE_WINS_STRATEGY, TopologyDescriptor
-from repro.topology.relate import RelateOptions, clear_relate_cache, relate_descriptors
+from repro.topology.labels import (
+    BOUNDARY_PRIORITY_STRATEGY,
+    LAST_ONE_WINS_STRATEGY,
+    UNION_STRATEGY,
+    TopologyDescriptor,
+)
+from repro.topology.relate import clear_relate_cache, relate_descriptors
 
 CASES = 200
 
@@ -416,15 +422,123 @@ def test_envelope_block_within_distance_has_no_false_negatives():
 # ---------------------------------------------------------------------------
 
 
+def _near(rng: random.Random) -> Fraction:
+    """A rational ordinate from a small range, so shapes meet often."""
+    return Fraction(rng.randint(-4, 4), rng.choice((1, 1, 1, 2, 3)))
+
+
+def _near_pair(rng: random.Random):
+    return (_near(rng), _near(rng))
+
+
+def _holed_polygon(rng: random.Random) -> Polygon:
+    """A rectangle with a hole: strictly inside, or touching the shell at
+    its lower-left vertex."""
+    x, y = rng.randint(-4, 1), rng.randint(-4, 1)
+    width, height = rng.randint(3, 5), rng.randint(3, 5)
+    shell = [(x, y), (x + width, y), (x + width, y + height), (x, y + height)]
+    if rng.random() < 0.5:
+        hole = [(x, y), (x + 1, y + 2), (x + 2, y + 1)]
+    else:
+        hole = [(x + 1, y + 1), (x + 2, y + 1), (x + 1, y + 2)]
+    return Polygon(shell, [hole])
+
+
+def _self_intersecting_polygon(rng: random.Random) -> Polygon:
+    """A bowtie, or an arbitrary (usually self-intersecting) ring."""
+    if rng.random() < 0.5:
+        x, y = _near(rng), _near(rng)
+        width, height = rng.randint(1, 4), rng.randint(1, 4)
+        return Polygon([(x, y), (x + width, y + height), (x + width, y), (x, y + height)])
+    ring = list(dict.fromkeys(_near_pair(rng) for _ in range(rng.randint(3, 6))))
+    return Polygon(ring) if len(ring) >= 3 else _holed_polygon(rng)
+
+
+def _crossing_lines(rng: random.Random) -> MultiLineString:
+    """Elements that usually cross each other at rational points."""
+    return MultiLineString(
+        [LineString([_near_pair(rng), _near_pair(rng)]) for _ in range(rng.randint(2, 3))]
+    )
+
+
+def _adversarial(rng: random.Random, depth: int = 0):
+    choice = rng.randrange(8 if depth == 0 else 7)
+    if choice == 0:
+        return _holed_polygon(rng)
+    if choice == 1:
+        return _self_intersecting_polygon(rng)
+    if choice == 2:
+        return _crossing_lines(rng)
+    if choice == 3:
+        return LineString([_near_pair(rng) for _ in range(rng.randint(2, 4))])
+    if choice == 4:
+        point = _near_pair(rng)
+        return LineString([point, point])  # collapsed to a point
+    if choice == 5:
+        return MultiPoint([Point(_near_pair(rng)) for _ in range(rng.randint(1, 3))])
+    if choice == 6:
+        return _geometry(rng)
+    return GeometryCollection(
+        [_adversarial(rng, depth + 1) for _ in range(rng.randint(1, 3))]
+        + [GeometryCollection([_adversarial(rng, depth + 1)])]
+    )
+
+
+def _from_vertices(rng: random.Random, a) -> object:
+    """A geometry on ``a``'s vertices: shared vertices and edges, collinear
+    overlaps along ``a``'s edges, and points on them."""
+    vertices = list(dict.fromkeys(a.coordinates()))
+    if len(vertices) < 2:
+        return _adversarial(rng)
+    picked = [rng.choice(vertices) for _ in range(rng.randint(2, 4))]
+    choice = rng.randrange(5)
+    if choice == 4:
+        # Isolated points at vertices and edge midpoints of a.
+        start = rng.randrange(len(vertices) - 1)
+        on_edge = _midpoint(vertices[start], vertices[start + 1])
+        return MultiPoint([Point(on_edge), Point(rng.choice(vertices))])
+    ring = list(dict.fromkeys(picked))
+    if choice == 0 and len(ring) >= 3:
+        return Polygon(ring)
+    if choice == 1:
+        # Along an edge of a, from one vertex past the edge's midpoint.
+        start = rng.randrange(len(vertices) - 1)
+        p, q = vertices[start], vertices[start + 1]
+        t = Fraction(rng.choice((1, 3, 5)), 4)
+        return LineString([p, (p.x + t * (q.x - p.x), p.y + t * (q.y - p.y))])
+    if choice == 2:
+        shared = LineString(picked) if picked[0] != picked[1] else Point(picked[0])
+        return GeometryCollection([shared, _adversarial(rng, 1)])
+    return LineString(picked)
+
+
+_STRATEGIES = (UNION_STRATEGY, LAST_ONE_WINS_STRATEGY, BOUNDARY_PRIORITY_STRATEGY)
+RELATE_CASES = 1000
+
+
+def _relate_case(rng: random.Random, case: int):
+    if case % 4 == 0:
+        a, b = _geometry(rng), _geometry(rng)
+    else:
+        a = _adversarial(rng)
+        b = _from_vertices(rng, a) if case % 4 == 1 else _adversarial(rng)
+    if rng.random() < 0.5:
+        a, b = b, a
+    return a, b, _STRATEGIES[case % 3]
+
+
 def test_batch_relate_dispatch_matches_scalar_relate():
+    """The prepared construction (kernels on) equals the per-pair witness
+    construction (kernels off) on adversarial pairs: holes touching their
+    shell, bowties and other self-intersecting rings, shared vertices and
+    edges, collinear overlaps, crossing multilines with rational cut
+    points, collapsed lines and nested collections, under every collection
+    strategy."""
     rng = random.Random(60407)
     clear_kernel_stats()
-    for case in range(CASES):
-        a = _geometry(rng)
-        b = _geometry(rng)
-        strategy = (
-            LAST_ONE_WINS_STRATEGY if case % 5 == 0 else RelateOptions().collection_strategy
-        )
+    linear_overlaps = 0
+    for case in range(RELATE_CASES):
+        a, b, strategy = _relate_case(rng, case)
         batch = _with_kernels(
             True,
             lambda: relate_descriptors(
@@ -437,8 +551,14 @@ def test_batch_relate_dispatch_matches_scalar_relate():
                 TopologyDescriptor(a, strategy), TopologyDescriptor(b, strategy)
             ),
         )
-        assert str(batch) == str(scalar), (a.wkt, b.wkt)
-    assert kernel_stats()["ring_batches"] > 0  # the sweep engaged the kernels
+        assert str(batch) == str(scalar), (a.wkt, b.wkt, strategy)
+        if batch.get("I", "I") == 1 or batch.get("B", "B") == 1:
+            linear_overlaps += 1
+    # Non-vacuity: many pairs share a curve, where both label triples meet.
+    assert linear_overlaps >= RELATE_CASES // 10, linear_overlaps
+    stats = kernel_stats()
+    assert stats["prepared_descriptors"] > RELATE_CASES
+    assert stats["ring_batches"] > 0
 
 
 #: The collection-focused injected faults of the paper's listings: the

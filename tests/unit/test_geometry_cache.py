@@ -1,4 +1,4 @@
-"""Bounded LRU regression for the WKT/WKB interner.
+"""Bounded LRU and thread-safety regression for the WKT/WKB interner.
 
 Before the reuse layer the interner grew without bound for the life of the
 process; ``spatter serve`` can run campaigns for days, so the tables are
@@ -6,10 +6,16 @@ now capped LRUs.  These tests pin the bound (a long synthetic load never
 exceeds the cap), the recency discipline (the least recently *used* entry
 goes first, not the least recently inserted), the eviction counters in
 ``geometry_cache_stats()``, and the hit/miss semantics of ``intern_parsed``
-(the reuse layer's entry point for registering derived geometries).
+(the reuse layer's entry point for registering derived geometries), and
+that concurrent campaign threads neither crash the interner nor push it
+past its bound.
 """
 
 from __future__ import annotations
+
+import random
+import sys
+import threading
 
 import pytest
 
@@ -102,3 +108,56 @@ def test_wkb_table_is_bounded_too(tiny_cache):
     assert stats["wkb_entries"] == 4
     assert stats["evictions"] == 2
     assert load_hex_wkb_interned(texts[-1]) is load_hex_wkb_interned(texts[-1])
+
+
+#: lookups per thread in the stress test: enough for the unlocked interner
+#: to lose a thread in most runs.
+ITERATIONS = 20000
+
+
+def test_concurrent_threads_keep_the_interner_consistent():
+    """Eight threads hammer a table capped at 8 with 10 shared texts under
+    a 1 µs switch interval.  Unlocked, ``move_to_end`` races ``popitem``:
+    threads die with ``KeyError`` and the table overshoots its cap."""
+    clear_geometry_cache()
+    previous_limit = set_geometry_cache_limit(8)
+    texts = [_point(index) for index in range(10)]
+    parsed = {text: parse_wkt_raw(text) for text in texts}
+    errors: list[BaseException] = []
+    sizes: list[int] = []
+    start = threading.Barrier(8)
+
+    def hammer(seed: int) -> None:
+        rng = random.Random(seed)
+        try:
+            start.wait(timeout=30)
+            for step in range(ITERATIONS):
+                text = rng.choice(texts)
+                if step % 4:
+                    load_wkt_interned(text)
+                else:
+                    intern_parsed(text, parsed[text])
+                if step % 16 == 0:
+                    sizes.append(geometry_cache_stats()["wkt_entries"])
+        except BaseException as error:  # noqa: BLE001 - asserted below
+            errors.append(error)
+
+    previous_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(previous_interval)
+        set_geometry_cache_limit(previous_limit)
+    try:
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert max(sizes) <= 8
+        assert geometry_cache_stats()["wkt_entries"] <= 8
+    finally:
+        clear_geometry_cache()
+

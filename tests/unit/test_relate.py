@@ -5,11 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.geometry import load_wkt
+from repro.geometry.columnar import clear_kernel_stats, kernel_stats
 from repro.topology.labels import (
     BOUNDARY,
+    BOUNDARY_PRIORITY_STRATEGY,
     EXTERIOR,
     INTERIOR,
     LAST_ONE_WINS_STRATEGY,
+    UNION_STRATEGY,
     TopologyDescriptor,
     combine_classes,
 )
@@ -216,3 +219,58 @@ class TestDescriptor:
             load_wkt("GEOMETRYCOLLECTION(POINT(0 0),POLYGON((0 0,1 0,0 1,0 0)))")
         )
         assert descriptor.dimension == 2
+
+
+def edge_labels(wkt: str, strategy: str = UNION_STRATEGY) -> dict[tuple, tuple[str, str, str]]:
+    """``{((x0, y0), (x1, y1)): (left, on, right)}`` over a geometry's
+    self-noded edges, each oriented along its segment."""
+    view = TopologyDescriptor(load_wkt(wkt), strategy).prepared()
+    labels = {}
+    for ordered, segment_labels in zip(view.splits, view.labels):
+        for start, end, label in zip(ordered, ordered[1:], segment_labels):
+            labels[((start.x, start.y), (end.x, end.y))] = label
+    return labels
+
+
+class TestPreparedTopology:
+    def test_ccw_ring_edges_read_interior_on_the_left(self):
+        labels = edge_labels("POLYGON((0 0,2 0,2 2,0 2,0 0))")
+        assert labels == {
+            edge: (INTERIOR, BOUNDARY, EXTERIOR)
+            for edge in (((0, 0), (2, 0)), ((2, 0), (2, 2)), ((2, 2), (0, 2)), ((0, 2), (0, 0)))
+        }
+
+    def test_linestring_edge_has_exterior_on_both_sides(self):
+        assert edge_labels("LINESTRING(0 0,2 1)") == {
+            ((0, 0), (2, 1)): (EXTERIOR, INTERIOR, EXTERIOR)
+        }
+
+    def test_bowtie_half_edges_alternate_sides(self):
+        labels = edge_labels("POLYGON((0 0,2 2,2 0,0 2,0 0))")
+        # The crossing segments are cut at (1, 1) into four half-edges;
+        # each borders one lobe of the bowtie and the gap between them.
+        assert labels[((0, 0), (1, 1))] == (INTERIOR, BOUNDARY, EXTERIOR)
+        assert labels[((1, 1), (2, 2))] == (EXTERIOR, BOUNDARY, INTERIOR)
+        assert labels[((2, 0), (1, 1))] == (EXTERIOR, BOUNDARY, INTERIOR)
+        assert labels[((1, 1), (0, 2))] == (INTERIOR, BOUNDARY, EXTERIOR)
+        assert len(labels) == 6
+
+    @pytest.mark.parametrize(
+        "strategy, on_both",
+        [(UNION_STRATEGY, INTERIOR), (BOUNDARY_PRIORITY_STRATEGY, BOUNDARY)],
+    )
+    def test_collection_line_on_its_polygon_edge(self, strategy, on_both):
+        labels = edge_labels(
+            "GEOMETRYCOLLECTION(POLYGON((0 0,4 0,4 4,0 4,0 0)),LINESTRING(1 0,3 0))", strategy
+        )
+        # The line cuts the polygon's bottom edge; where both lie, the
+        # strategy decides the class on the edge, not beside it.
+        assert labels[((0, 0), (1, 0))] == (INTERIOR, BOUNDARY, EXTERIOR)
+        assert labels[((1, 0), (3, 0))] == (INTERIOR, on_both, EXTERIOR)
+        assert labels[((3, 0), (4, 0))] == (INTERIOR, BOUNDARY, EXTERIOR)
+
+    def test_view_is_built_once_per_descriptor(self):
+        descriptor = TopologyDescriptor(load_wkt("POLYGON((0 0,2 0,2 2,0 2,0 0))"))
+        clear_kernel_stats()
+        assert descriptor.prepared() is descriptor.prepared()
+        assert kernel_stats()["prepared_descriptors"] == 1
