@@ -208,8 +208,8 @@ class Table:
         row position (see :class:`repro.geometry.columnar.EnvelopeBlock`),
         always faithful regardless of the fault plan — EMPTY rows stay
         candidates, NULL rows are omitted.  Returns ``None`` — memoized
-        until the next insert — when the column is not a geometry column,
-        holds a non-geometry non-NULL value, or numpy is unavailable.
+        until the next insert — when the column is not a geometry column or
+        holds a non-geometry non-NULL value.
         """
         from repro.geometry.columnar import EnvelopeBlock
 

@@ -49,9 +49,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 def compile_select(executor: "Executor", statement: ast.Select) -> "BatchSelectPlan | None":
     """Lower a ``Select`` into a batch plan, or ``None`` to run scalar.
 
-    Compilation is refused when the numpy kernels are unavailable or
-    switched off (a test's scalar reference run) and for the degenerate
-    FROM-less select, where there is nothing to batch.
+    Compilation is refused when the batch kernels are switched off (a
+    test's scalar reference run) and for the degenerate FROM-less select,
+    where there is nothing to batch.
 
     The reuse layer's compiled-plan cache replays the *same* ``statement``
     object across executions with its literal values rebound in place

@@ -26,8 +26,8 @@ counterparts — the float layer only prunes work, it never decides a close
 call.  NaN/inf propagation is safe by construction: any non-finite value
 fails the certainty comparison and takes the exact fallback.
 
-The batch kernels always run in production and degrade to the scalar
-implementations when numpy is not importable.  A process-wide switch
+The batch kernels always run in production (numpy is a runtime
+dependency).  A process-wide switch
 (:func:`set_vectorized_kernels`, like the fast-clearance switch in
 :mod:`repro.topology.noding`) is the test seam that selects the scalar
 reference kernels, so tests can run batch-vs-scalar differentially.
@@ -38,10 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.geometry.model import Coordinate
 from repro.geometry.primitives import point_in_ring, point_on_segment
@@ -77,12 +74,9 @@ def set_vectorized_kernels(enabled: bool) -> bool:
 
 
 def vectorized_kernels_enabled() -> bool:
-    """Whether the float-filtered batch kernels are active.
-
-    False when a test toggled them off *or* when numpy is not available —
-    callers never need to distinguish the two.
-    """
-    return _VECTORIZED and np is not None
+    """Whether the float-filtered batch kernels are active (False only
+    while a test has toggled them off)."""
+    return _VECTORIZED
 
 
 _KERNEL_STATS = {
@@ -226,7 +220,7 @@ class _EdgeTable:
 
     def resolve_columns(self, points: Sequence[Coordinate], columns):
         """Point columns for ``points``, reusing a prepared conversion."""
-        if columns is not None and columns.arrays is not None:
+        if columns is not None:
             return columns.arrays
         return self.point_columns(points)
 
@@ -279,10 +273,6 @@ class PointColumns:
         face_interior: Sequence[bool] | None = None,
     ):
         self.points = list(points)
-        if np is None:
-            self.arrays = None
-            self.face_interior = None
-            return
         n = len(self.points)
         pxv = np.empty(n)
         pyv = np.empty(n)
@@ -298,10 +288,6 @@ class PointColumns:
         """Columns for a positional subset (no re-conversion)."""
         sub = PointColumns.__new__(PointColumns)
         sub.points = [self.points[i] for i in indices]
-        if self.arrays is None:
-            sub.arrays = None
-            sub.face_interior = None
-            return sub
         idx = np.asarray(indices, dtype=np.intp)
         pxv, pxe, pyv, pye = self.arrays
         sub.arrays = (pxv[idx], pxe[idx], pyv[idx], pye[idx])
@@ -359,7 +345,7 @@ class RingLocator:
         if points and points[0] != points[-1]:
             points = points + [points[0]]
         edges = list(zip(points, points[1:]))
-        self._table = _EdgeTable(edges) if np is not None and edges else None
+        self._table = _EdgeTable(edges) if edges else None
 
     def locate_many(
         self, points: Sequence[Coordinate], columns: "PointColumns | None" = None
@@ -430,7 +416,7 @@ class SegmentsLocator:
 
     def __init__(self, segments: Sequence[Segment]):
         self._segments = list(segments)
-        self._table = _EdgeTable(self._segments) if np is not None and self._segments else None
+        self._table = _EdgeTable(self._segments) if self._segments else None
 
     def contains_many(
         self, points: Sequence[Coordinate], columns: "PointColumns | None" = None
@@ -549,7 +535,7 @@ class ClearanceFilter:
     """
 
     def __init__(self, segments: Sequence[Segment], nodes: Sequence[Coordinate]):
-        self._ok = np is not None and (len(segments) > 0 or len(nodes) > 0)
+        self._ok = len(segments) > 0 or len(nodes) > 0
         if not self._ok:
             return
         nxv = np.array([_to_float(p.x) for p in nodes])
@@ -714,7 +700,7 @@ class EnvelopeBlock:
                 continue
             self.positions.append(position)
             boxes.append(envelope_float_box(envelope))
-        if np is not None and boxes:
+        if boxes:
             array = np.array(boxes)
             self.minx_lo = array[:, 0]
             self.miny_lo = array[:, 1]
