@@ -58,7 +58,7 @@ register_backend(
     "inprocess",
     InProcessBackend,
     "the emulated in-process engine (MiniSDB); full fault injection, "
-    "planner toggles, fast-path auto-indexes and the batch executor",
+    "planner toggles and the batch executor with its envelope prefilter",
 )
 
 register_backend(

@@ -56,8 +56,6 @@ class Capabilities:
     #: the backend evaluates the injected-bug catalog (ground-truth dedup
     #: and the release-under-test emulation are available).
     supports_fault_injection: bool = True
-    #: the backend can build the fast-path auto STR indexes.
-    supports_auto_indexes: bool = True
     #: the backend honours ``SET enable_seqscan`` (the Index baseline's
     #: whole mechanism); adapters over engines with their own planner do not.
     supports_planner_toggles: bool = True
@@ -108,8 +106,6 @@ class Capabilities:
         flags = []
         if self.supports_fault_injection:
             flags.append("faults")
-        if self.supports_auto_indexes:
-            flags.append("auto-indexes")
         if self.supports_planner_toggles:
             flags.append("planner-toggles")
         if not self.supports_geometry_cast:
@@ -151,8 +147,6 @@ class BackendSession(Protocol):
     def query_value(self, sql: str) -> Any: ...
 
     def query_rows(self, sql: str) -> list[tuple]: ...
-
-    def build_auto_indexes(self) -> int: ...
 
     def cache_stats(self) -> dict[str, int]: ...
 

@@ -131,10 +131,6 @@ class SQLiteSession:
     def query_rows(self, sql: str) -> list[tuple]:
         return self.execute(sql).rows
 
-    def build_auto_indexes(self) -> int:
-        """SQLite plans with its own machinery; there is nothing to warm."""
-        return 0
-
     def cache_stats(self) -> dict[str, int]:
         stats = self.registry.prepared_cache.stats()
         return {f"prepared_{key}": stats[key] for key in ("hits", "misses", "evictions")}
@@ -173,7 +169,6 @@ class SQLiteBackend(Backend):
             backend=self.name,
             dialect=get_dialect(self.dialect),
             supports_fault_injection=True,
-            supports_auto_indexes=False,
             supports_planner_toggles=False,
             supports_geometry_cast=False,
             supports_unaliased_self_join=False,

@@ -8,9 +8,9 @@ can in principle find the two index-related bugs but nothing else.
 
 Connections handed to this oracle should be opened with
 ``connect(..., fast_path=False, vectorized=False)``: its whole point is to
-compare the two scan paths of the *seed* execution engine, so the
-fast-path layer's envelope prefilters and auto-built indexes — and the
-batch executor's columnar pipelines — must stay out of the picture.
+compare the two scan paths of the *seed* execution engine, so the batch
+executor's columnar pipelines and envelope prefilter must stay out of the
+picture.
 (``IndexToggleOracle`` enforces this defensively by switching any
 fast-path- or vectorization-enabled connection its factory returns back to
 the reference execution mode.)

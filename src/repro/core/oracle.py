@@ -184,14 +184,6 @@ class AEIOracle:
         The comparator consumes no randomness, so enabling it does not
         perturb the AEI round stream.
 
-        Every materialised database whose session runs the engine fast
-        path (``session.fast_path``) gets STR bulk-loaded R-tree indexes on
-        its geometry columns right after construction (followup databases
-        included), so the scenario joins start with warm envelope
-        prefilters.  Sessions connected with ``fast_path=False`` — the
-        Index baseline oracle's, whose seqscan/index toggling must stay the
-        only index machinery in play — get none.
-
         ``plan_cache`` (a :class:`repro.engine.plancache.PlanCache`, shared
         across rounds by the campaign) lets scenario queries replay
         compiled statements instead of rendering and re-parsing SQL per
@@ -321,10 +313,6 @@ class AEIOracle:
             record_materialisation("fallback")
             for statement in spec.create_statements(include_ids=True):
                 database.execute(statement)
-        if getattr(database, "fast_path", False) and (
-            self.capabilities is None or self.capabilities.supports_auto_indexes
-        ):
-            database.build_auto_indexes()
         return database
 
     # ------------------------------------------------------------------- run

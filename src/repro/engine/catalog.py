@@ -69,16 +69,12 @@ class Table:
             raise TableError(f"table {name!r} has duplicate column names")
         self.rows: list[dict[str, Any]] = []
         self.indexes: dict[str, SpatialIndex] = {}
-        #: planner-internal fast-path indexes, kept strictly apart from the
-        #: user-created ``indexes``: they are always built faithfully (EMPTY
-        #: rows preserved, STR bulk load) regardless of the fault plan, and
-        #: ``spatial_index_on`` never returns them, so explicitly created —
-        #: possibly fault-corrupted — indexes keep their semantics.  The
-        #: value is ``None`` for columns probed and found unsuitable.
-        self.auto_indexes: dict[str, SpatialIndex | None] = {}
-        #: columnar envelope arrays for the batch executor, memoized per
-        #: geometry column with the same lifecycle (and the same suitability
-        #: verdicts) as ``auto_indexes``; ``None`` marks an unsuitable column.
+        #: columnar envelope arrays for the batch executor's prefilter,
+        #: memoized per geometry column until the next insert and kept
+        #: strictly apart from the user-created ``indexes``: always built
+        #: faithfully regardless of the fault plan, so explicitly created —
+        #: possibly fault-corrupted — indexes keep their semantics.  ``None``
+        #: marks an unsuitable column.
         self.envelope_blocks: dict[str, Any] = {}
         self._next_rowid = 0
 
@@ -109,8 +105,7 @@ class Table:
         self._next_rowid += 1
         self.rows.append(row)
         self._index_row(row, drop_empty_from_index)
-        # Auto indexes and columnar blocks are rebuilt lazily on the next probe.
-        self.auto_indexes.clear()
+        # Columnar blocks are rebuilt lazily on the next probe.
         self.envelope_blocks.clear()
         return row["__rowid__"]
 
@@ -157,57 +152,14 @@ class Table:
                 return index
         return None
 
-    def auto_spatial_index(self, column: str) -> SpatialIndex | None:
-        """A fast-path R-tree over a geometry column, built on first use.
-
-        The index is STR bulk-loaded from the current rows and is a pure
-        planner accelerator: EMPTY geometries stay reachable through
-        ``empty_rows`` whatever the fault plan (the injected GiST bug only
-        corrupts *user-created* indexes), and NULL rows are omitted because
-        a NULL operand makes every indexable predicate evaluate to NULL.
-        Returns ``None`` — and remembers the verdict until the next insert —
-        when the column is not a geometry column or holds a non-geometry,
-        non-NULL value (the envelope prefilter would not be conservative
-        there).
-        """
-        key = column.lower()
-        if key in self.auto_indexes:
-            return self.auto_indexes[key]
-        index: SpatialIndex | None = None
-        if self.has_column(key) and self.column(key).is_geometry:
-            entries: list[tuple[Envelope, int]] = []
-            empty_rows: list[int] = []
-            suitable = True
-            for row in self.rows:
-                value = row.get(key)
-                if value is None:
-                    continue
-                if not isinstance(value, Geometry):
-                    suitable = False
-                    break
-                envelope = value.envelope()
-                if envelope is None:
-                    empty_rows.append(row["__rowid__"])
-                else:
-                    entries.append((envelope, row["__rowid__"]))
-            if suitable:
-                index = SpatialIndex(
-                    name=f"__auto_{self.name}_{key}__",
-                    column=key,
-                    tree=RTree.bulk_load(entries),
-                    empty_rows=empty_rows,
-                )
-        self.auto_indexes[key] = index
-        return index
-
     def envelope_block(self, column: str):
         """Columnar envelope arrays over a geometry column, built on first use.
 
-        The batch executor's positional counterpart of
-        :meth:`auto_spatial_index`: one outward-rounded float envelope per
-        row position (see :class:`repro.geometry.columnar.EnvelopeBlock`),
-        always faithful regardless of the fault plan — EMPTY rows stay
-        candidates, NULL rows are omitted.  Returns ``None`` — memoized
+        The batch executor's envelope prefilter: one outward-rounded float
+        envelope per row position (see
+        :class:`repro.geometry.columnar.EnvelopeBlock`), always faithful
+        regardless of the fault plan — EMPTY rows stay candidates, NULL rows
+        are omitted (a NULL operand makes every indexable predicate NULL).  Returns ``None`` — memoized
         until the next insert — when the column is not a geometry column or
         holds a non-geometry non-NULL value.
         """

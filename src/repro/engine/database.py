@@ -169,24 +169,6 @@ class SpatialDatabase:
         self.state.settings["enable_seqscan"] = True
         self.prepared_cache.clear()
 
-    def build_auto_indexes(self) -> int:
-        """Eagerly build the fast-path STR indexes on every geometry column.
-
-        Returns the number of indexes built.  The oracle calls this right
-        after materialising a database so join-heavy scenario queries start
-        with warm envelope prefilters; lazy construction inside the executor
-        covers every other entry point.  A no-op when the connection runs
-        with the fast path disabled.
-        """
-        if not self.fast_path:
-            return 0
-        built = 0
-        for table in self.state.tables.values():
-            for column in table.columns:
-                if column.is_geometry and table.auto_spatial_index(column.name) is not None:
-                    built += 1
-        return built
-
     def cache_stats(self) -> dict[str, int]:
         """Connection-scoped cache counters (prepared-geometry cache).
 
@@ -223,9 +205,9 @@ def connect(
     for the dialect (every catalog bug the paper reported against that
     system), which is what the testing-campaign experiments use.
     ``fast_path=False`` disables the execution fast-path layer (prepared
-    caching beyond ST_Contains and automatic envelope prefilters) — the
-    reference configuration for the differential self-checks and for the
-    Index baseline oracle.  ``vectorized=False`` additionally routes every
+    caching beyond ST_Contains and the batch executor's envelope
+    prefilter) — the reference configuration for the differential
+    self-checks and for the Index baseline oracle.  ``vectorized=False`` additionally routes every
     SELECT through the scalar row-at-a-time interpreter instead of the
     batch-operator pipeline.
     """

@@ -223,8 +223,6 @@ class Executor:
     ) -> list[dict[str, dict[str, Any]]]:
         binding, rows = self._rows_for_item(join.item)
         index_plan = self._index_join_plan(join, binding)
-        if index_plan is None:
-            index_plan = self._auto_index_join_plan(join, binding)
         joined: list[dict[str, dict[str, Any]]] = []
         for environment in environments:
             candidate_rows = rows
@@ -244,13 +242,13 @@ class Executor:
         return not self.database.settings.get("enable_seqscan", True)
 
     def _prefilter_allowed(self, name: str) -> bool:
-        """True if the fast path may skip candidate rows for this predicate
-        or operator without observable effect.
+        """True if the batch envelope prefilter may skip candidate rows for
+        this predicate or operator without observable effect.
 
-        The envelope prefilter is only conservative when a skipped
-        evaluation could neither raise (strict validation, EMPTY-element
-        rejection, unsupported feature errors, crash faults) nor record a
-        fault trigger the oracle's deduplication keys on — so it is gated on
+        The prefilter is only conservative when a skipped evaluation could
+        neither raise (strict validation, EMPTY-element rejection,
+        unsupported feature errors, crash faults) nor record a fault
+        trigger the oracle's deduplication keys on — so it is gated on
         a permissive dialect and on no active bug influencing the predicate's
         *evaluation* (see :meth:`FaultPlan.influences_evaluation`; bugs whose
         mechanism can never alter an evaluation — inert placeholders and the
@@ -271,37 +269,23 @@ class Executor:
 
     def _maybe_filter_with_index(self, statement, item, binding, rows):
         """Index-filter a single-table scan whose WHERE compares a geometry
-        column against a constant geometry (the paper's Listing 8 shape).
-
-        Two index sources feed the filter: a user-created index when
-        sequential scans are disabled (the seed behaviour, faithful to the
-        fault plan), or — with the fast path on and the prefilter provably
-        unobservable — an automatically built STR index used as a pure
-        envelope prefilter even under the default planner settings.
+        column against a constant geometry (the paper's Listing 8 shape),
+        through a user-created index when sequential scans are disabled —
+        faithful to the fault plan.
         """
-        if statement.where is None:
+        if not self._use_index() or statement.where is None:
             return rows
         if len(statement.from_items) != 1 or statement.joins:
             return rows
         if not isinstance(item, ast.TableRef):
             return rows
-        if not self._use_index() and not self.fast_path:
-            return rows
         probe = self._constant_probe(statement.where, binding)
         if probe is None:
             return rows
-        probe_name, column_name, constant_expression = probe
-        table = self._table(item.name)
-        index = table.spatial_index_on(column_name) if self._use_index() else None
+        _name, column_name, constant_expression = probe
+        index = self._table(item.name).spatial_index_on(column_name)
         if index is None:
-            # The auto prefilter pre-evaluates the constant once; guard on a
-            # non-empty scan so a query whose slow path would never evaluate
-            # the constant (zero rows) cannot raise here.
-            if not rows or not self._prefilter_allowed(probe_name):
-                return rows
-            index = table.auto_spatial_index(column_name)
-            if index is None:
-                return rows
+            return rows
         constant = self._evaluate(constant_expression, {})
         if not isinstance(constant, Geometry):
             return rows
@@ -357,53 +341,6 @@ class Executor:
             if inner_ref.table != inner_binding:
                 continue
             index = table.spatial_index_on(inner_ref.name)
-            if index is None:
-                continue
-            return table, index, outer_ref, inner_ref.name
-        return None
-
-    def _auto_index_join_plan(self, join: ast.Join, inner_binding: str):
-        """Fast-path variant of :meth:`_index_join_plan`.
-
-        Uses an automatically built STR index as an envelope prefilter for
-        the inner side of a nested-loop join, without requiring sequential
-        scans to be disabled.  Only engaged when skipping rows is provably
-        unobservable (:meth:`_prefilter_allowed`): every indexable predicate
-        implies envelope intersection, EMPTY inner rows remain candidates
-        via ``empty_rows``, and NULL rows evaluate to NULL anyway.
-        """
-        if not self.fast_path or join.condition is None:
-            return None
-        if not isinstance(join.item, ast.TableRef):
-            return None
-        condition = join.condition
-        if not isinstance(condition, ast.FunctionCall):
-            return None
-        name = condition.name.lower()
-        if name not in _INDEXABLE_PREDICATES or len(condition.arguments) < 2:
-            return None
-        if not self._prefilter_allowed(name):
-            return None
-        first, second = condition.arguments[0], condition.arguments[1]
-        if not isinstance(first, ast.ColumnRef) or not isinstance(second, ast.ColumnRef):
-            return None
-        table = self._table(join.item.name)
-        for outer_ref, inner_ref in ((first, second), (second, first)):
-            if inner_ref.table != inner_binding:
-                continue
-            if outer_ref.table is None or outer_ref.table == inner_binding:
-                # The probe must be resolvable against the *outer* environment
-                # alone and keep exact nested-loop semantics.  An unqualified
-                # reference may resolve differently (or not at all) there than
-                # in the joined row, and ON p(t.g, t.g) — a self-referential
-                # condition under a repeated binding — is evaluated on the
-                # *inner* row by the nested loop, so prefiltering with the
-                # outer row's envelope would drop qualifying rows.  The
-                # opt-in user-index path (_index_join_plan) keeps the seed's
-                # historical behaviour for these shapes; the always-on fast
-                # path must stay observably inert and falls back instead.
-                continue
-            index = table.auto_spatial_index(inner_ref.name)
             if index is None:
                 continue
             return table, index, outer_ref, inner_ref.name

@@ -114,9 +114,9 @@ MECH_NONE = "no_behaviour"
 # Mechanisms that never alter the evaluation of a function call: MECH_NONE is
 # a recorded-but-inert placeholder and MECH_INDEX_DROPS_EMPTY only corrupts
 # user-created spatial indexes (the executor consults it exclusively in
-# ``_drop_empty_from_index``; auto-built prefilter indexes always keep EMPTY
-# rows).  ``FaultPlan.influences_evaluation`` skips these so the prefilter
-# gate does not disable itself for faults it cannot interact with.
+# ``_drop_empty_from_index``; the batch prefilter's envelope blocks always
+# keep EMPTY rows).  ``FaultPlan.influences_evaluation`` skips these so the
+# prefilter gate does not disable itself for faults it cannot interact with.
 NON_EVALUATION_MECHANISMS = (MECH_NONE, MECH_INDEX_DROPS_EMPTY)
 
 
@@ -512,8 +512,8 @@ class FaultPlan:
         ``MECH_NONE`` bugs are recorded-but-inert placeholders, and
         ``MECH_INDEX_DROPS_EMPTY`` corrupts only user-created spatial indexes
         — the executor consults it solely in ``_drop_empty_from_index`` while
-        auto-built prefilter indexes always retain EMPTY rows.  The prefilter
-        gate therefore may keep using the R-tree when the only fault matching
+        the batch prefilter's envelope blocks always retain EMPTY rows.  The
+        prefilter gate therefore may stay open when the only fault matching
         a predicate is one of these: skipping a candidate evaluation cannot
         change a result nor suppress a trigger.
         """

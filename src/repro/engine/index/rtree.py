@@ -1,10 +1,9 @@
 """A small R-tree used as MiniSDB's GiST-style spatial index.
 
 The index stores ``(envelope, row identifier)`` entries and answers
-envelope-intersection queries.  It supports incremental insertion with
-quadratic-split node overflow handling and Sort-Tile-Recursive (STR) bulk
-loading, the two classic construction strategies real SDBMS spatial indexes
-offer.
+envelope-intersection queries.  It is built by incremental insertion with
+quadratic-split node overflow handling, as ``CREATE INDEX`` and every later
+``INSERT`` feed it row by row.
 
 The executor uses the index as a *filter* step (candidate row ids whose
 envelopes intersect the query envelope) followed by the exact predicate — the
@@ -16,9 +15,8 @@ index path returns fewer rows than the sequential scan.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.geometry.model import Envelope
 
@@ -78,52 +76,6 @@ class RTree:
         self._handle_overflow(leaf)
         self._refresh_envelopes(self.root)
         self.size += 1
-
-    @classmethod
-    def bulk_load(
-        cls,
-        entries: Iterable[tuple[Envelope, int]],
-        max_entries: int = DEFAULT_MAX_ENTRIES,
-        min_entries: int = DEFAULT_MIN_ENTRIES,
-    ) -> "RTree":
-        """Build an index with Sort-Tile-Recursive packing."""
-        tree = cls(max_entries=max_entries, min_entries=min_entries)
-        leaf_entries = [RTreeEntry(envelope, row_id) for envelope, row_id in entries]
-        if not leaf_entries:
-            return tree
-        nodes = tree._str_pack(leaf_entries, is_leaf=True)
-        while len(nodes) > 1:
-            nodes = tree._str_pack(nodes, is_leaf=False)
-        tree.root = nodes[0]
-        tree.size = len(leaf_entries)
-        return tree
-
-    def _str_pack(self, items: list, is_leaf: bool) -> list[_Node]:
-        def center_x(item) -> float:
-            box = item.envelope
-            return float(box.min_x + box.max_x) / 2
-
-        def center_y(item) -> float:
-            box = item.envelope
-            return float(box.min_y + box.max_y) / 2
-
-        count = len(items)
-        capacity = self.max_entries
-        leaf_count = math.ceil(count / capacity)
-        slice_count = max(1, math.ceil(math.sqrt(leaf_count)))
-        per_slice = math.ceil(count / slice_count)
-
-        items_by_x = sorted(items, key=center_x)
-        nodes: list[_Node] = []
-        for slice_start in range(0, count, per_slice):
-            vertical_slice = sorted(
-                items_by_x[slice_start : slice_start + per_slice], key=center_y
-            )
-            for start in range(0, len(vertical_slice), capacity):
-                node = _Node(is_leaf=is_leaf, entries=vertical_slice[start : start + capacity])
-                node.recompute_envelope()
-                nodes.append(node)
-        return nodes
 
     # ---------------------------------------------------------------- queries
     def search(self, envelope: Envelope) -> list[int]:

@@ -14,10 +14,10 @@ The stages are deliberately asymmetric in how much they may change:
 * **batch prefilter** narrows candidate rows with the columnar
   :class:`~repro.geometry.columnar.EnvelopeBlock` kernels — vectorized
   envelope intersection for the indexable predicates and a bbox-distance
-  prescreen for ``ST_DWithin`` — under the *same* observability gate as the
-  scalar fast path (:meth:`Executor._prefilter_allowed`): a row may be
-  skipped only when its evaluation provably returns non-TRUE and can
-  neither raise nor record a fault trigger;
+  prescreen for ``ST_DWithin`` — under the observability gate
+  :meth:`Executor._prefilter_allowed`: a row may be skipped only when its
+  evaluation provably returns non-TRUE and can neither raise nor record a
+  fault trigger;
 * **residual exact predicate** re-checks every surviving row with the
   ordinary ``Executor._evaluate`` in unchanged nested-loop order, so every
   fault hook fires on exactly the rows (and in exactly the order) the
@@ -140,12 +140,11 @@ class BatchSelectPlan:
     def _batch_scan_filter(self, item, binding, rows):
         """Columnar prescreen for the single-table constant probe.
 
-        Returns the filtered row block, or ``None`` to fall back to the
-        scalar helper (which also covers the user-index path, keeping any
-        fault-corrupted index observable).  Guards mirror
-        ``_maybe_filter_with_index``'s auto branch exactly; the only new
-        capability is the ``ST_DWithin`` bbox-distance prescreen, which the
-        R-tree path does not support.
+        Returns the filtered row block, or ``None`` when sequential scans
+        are off: then the scalar helper runs the user-index path, keeping
+        any fault-corrupted index observable.  Besides the indexable
+        predicates, an ``ST_DWithin`` probe with a literal distance gets the
+        bbox-distance prescreen.
         """
         executor = self.executor
         statement = self.statement
@@ -156,8 +155,8 @@ class BatchSelectPlan:
         if not isinstance(item, ast.TableRef):
             return rows
         if executor._use_index():
-            # A user-created index (or the seqscan-off auto probe) must keep
-            # the scalar code path's exact semantics.
+            # A user-created index must keep the scalar code path's exact
+            # semantics.
             return None
         if not executor.fast_path or not rows:
             return rows
@@ -174,7 +173,7 @@ class BatchSelectPlan:
             return rows
         block = executor._table(item.name).envelope_block(column_name)
         if block is None:
-            return None
+            return rows
         constant = executor._evaluate(constant_expression, {})
         if not isinstance(constant, Geometry):
             return rows
@@ -199,8 +198,6 @@ class BatchSelectPlan:
         batch_plan = None
         if index_plan is None:
             batch_plan = self._batch_join_plan(join, binding)
-            if batch_plan is None:
-                index_plan = executor._auto_index_join_plan(join, binding)
         joined: list[dict[str, dict[str, Any]]] = []
         for environment in environments:
             candidate_rows = rows
@@ -220,11 +217,10 @@ class BatchSelectPlan:
     def _batch_join_plan(self, join: ast.Join, inner_binding: str) -> _BatchJoinPrefilter | None:
         """Compile a columnar prefilter for a join, or ``None``.
 
-        The guards mirror ``_auto_index_join_plan`` (including the outer-
-        reference resolvability requirement) with one extension: a
-        ``ST_DWithin(outer.g, inner.g, <literal>)`` condition compiles to
-        the bbox-distance prescreen, sound because the box-to-box gap
-        lower-bounds the geometry distance.
+        The condition must be an indexable predicate over an outer and an
+        inner column, or ``ST_DWithin(outer.g, inner.g, <literal>)``, which
+        compiles to the bbox-distance prescreen (sound because the
+        box-to-box gap lower-bounds the geometry distance).
         """
         executor = self.executor
         if not executor.fast_path or join.condition is None:
@@ -254,8 +250,16 @@ class BatchSelectPlan:
             if inner_ref.table != inner_binding:
                 continue
             if outer_ref.table is None or outer_ref.table == inner_binding:
-                # Same resolvability rule as the scalar auto plan: the probe
-                # must evaluate against the outer environment alone.
+                # The probe must be resolvable against the *outer*
+                # environment alone and keep exact nested-loop semantics.
+                # An unqualified reference may resolve differently (or not
+                # at all) there than in the joined row, and ON p(t.g, t.g) —
+                # a self-referential condition under a repeated binding — is
+                # evaluated on the *inner* row by the nested loop, so
+                # prefiltering with the outer row's envelope would drop
+                # qualifying rows.  The opt-in user-index path
+                # (``_index_join_plan``) keeps the seed's behaviour for these
+                # shapes; the always-on prefilter stays inert instead.
                 continue
             block = table.envelope_block(inner_ref.name)
             if block is None:

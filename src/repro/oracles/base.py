@@ -124,7 +124,6 @@ class CampaignOracle:
         self,
         spec: DatabaseSpec,
         session_factory: Callable[[], Any],
-        capabilities: Capabilities,
         outcome: OracleRoundOutcome,
     ):
         """Create the spec's tables in a fresh session (ids included).
@@ -168,8 +167,6 @@ class CampaignOracle:
             return None
         finally:
             outcome.materialise_seconds += time.perf_counter() - started
-        if getattr(session, "fast_path", False) and capabilities.supports_auto_indexes:
-            session.build_auto_indexes()
         return session
 
     def describe(self) -> str:

@@ -127,7 +127,7 @@ class PivotedQueryOracle(CampaignOracle):
         wkt_pool = [wkt for table in tables for wkt in spec.tables[table]]
         if not tables or not predicates or not wkt_pool:
             return outcome
-        session = self.materialise(spec, session_factory, capabilities, outcome)
+        session = self.materialise(spec, session_factory, outcome)
         if session is None:
             return outcome
         registry = self.reference_registry(capabilities)

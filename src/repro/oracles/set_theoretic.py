@@ -70,7 +70,7 @@ class SetTheoreticJoinOracle(CampaignOracle):
         predicates = capabilities.topological_predicates()
         if not tables or not predicates:
             return outcome
-        session = self.materialise(spec, session_factory, capabilities, outcome)
+        session = self.materialise(spec, session_factory, outcome)
         if session is None:
             return outcome
         for _ in range(max(0, count)):

@@ -80,9 +80,7 @@ class TestPQSSeesWhatTheJoinScenarioCannot:
         backend = create_backend("inprocess", dialect="postgis", bug_ids=bug_ids)
         oracle = PivotedQueryOracle()
         outcome = OracleRoundOutcome()
-        session = oracle.materialise(
-            DFULLYWITHIN_SPEC, backend.open_session, backend.capabilities(), outcome
-        )
+        session = oracle.materialise(DFULLYWITHIN_SPEC, backend.open_session, outcome)
         # POINT(1 1) is fully within distance 5 of itself and intersects it,
         # which is exactly the shape the buggy definition rejects.
         expression = FunctionCall(
@@ -126,9 +124,7 @@ class TestSetTheoreticSeesThePreparedCacheFault:
         backend = create_backend(backend_name, dialect="postgis", bug_ids=bug_ids)
         oracle = SetTheoreticJoinOracle()
         outcome = OracleRoundOutcome()
-        session = oracle.materialise(
-            PREPARED_SPEC, backend.open_session, backend.capabilities(), outcome
-        )
+        session = oracle.materialise(PREPARED_SPEC, backend.open_session, outcome)
         oracle.check_join(
             outcome, session, backend.capabilities(), PREPARED_SPEC, "ta", "tb", "st_contains"
         )

@@ -94,24 +94,7 @@ class TestCapabilities:
         capabilities = SQLiteBackend(dialect="postgis").capabilities()
         assert not capabilities.supports_geometry_cast
         assert not capabilities.supports_planner_toggles
-        assert not capabilities.supports_auto_indexes
         assert "no-::geometry-cast" in capabilities.summary()
-
-    @pytest.mark.parametrize("fast_path, supported", [(True, True), (False, True), (True, False)])
-    def test_oracle_auto_indexes_follow_session_and_capabilities(self, fast_path, supported):
-        # No oracle-level switch: a fast_path=False session (the Index
-        # oracle's) or a backend without auto-index support gets none.
-        from repro.core.generator import DatabaseSpec
-        from repro.core.oracle import AEIOracle
-        from repro.engine.database import connect
-
-        capabilities = Capabilities(
-            backend="test", dialect=get_dialect("postgis"), supports_auto_indexes=supported
-        )
-        oracle = AEIOracle(lambda: connect("postgis", fast_path=fast_path), capabilities=capabilities)
-        database = oracle.materialise(DatabaseSpec(tables={"t1": ["POINT(1 1)"], "t2": ["POINT(2 2)"]}))
-        indexed = [sorted(table.auto_indexes) for table in database.state.tables.values()]
-        assert indexed == ([["g"], ["g"]] if fast_path and supported else [[], []])
 
     def test_scenarios_resolve_against_capabilities(self):
         from repro.scenarios import applicable_scenarios, resolve_scenarios
@@ -143,7 +126,6 @@ class TestSessionProtocol:
         session = SQLiteBackend().open_session()
         try:
             assert isinstance(session, BackendSession)
-            assert session.build_auto_indexes() == 0
             assert set(session.cache_stats()) == {
                 "prepared_hits",
                 "prepared_misses",

@@ -2,8 +2,9 @@
 
 Every injected fault that perturbs query evaluation must still fire — same
 wrong result, same ``bug_fired``/trigger bookkeeping — when every fast-path
-layer (interned parsing, prepared-predicate LRU, relate memo, auto-built
-STR indexes) is enabled, including under LRU eviction pressure.  A cache
+layer (interned parsing, prepared-predicate LRU, relate memos, the batch
+executor's envelope prefilter) is enabled, including under LRU eviction
+pressure.  A cache
 that "fixed" an injected bug would silently destroy the campaign's ground
 truth.
 """
@@ -84,17 +85,16 @@ class TestIndexDropsEmptyBug:
         database.execute("SET enable_seqscan = true")
         assert database.query_value(self.QUERY) == 1
 
-    def test_auto_index_never_mimics_the_corrupted_user_index(self):
-        """The fast-path STR index is built faithfully even when the fault
-        plan corrupts user-created indexes, so it cannot convert the pure
-        prefilter into a bug of its own."""
+    def test_envelope_block_never_mimics_the_corrupted_user_index(self):
+        """The batch prefilter's envelope block is built faithfully even when
+        the fault plan corrupts user-created indexes, so it cannot convert
+        the pure prefilter into a bug of its own."""
         database = _fresh(["postgis-gist-index-drops-empty"], fast_path=True)
         database.execute("CREATE TABLE t AS SELECT 1 AS id, 'POINT EMPTY'::geometry AS geom")
-        table = database.state.tables["t"]
-        auto = table.auto_spatial_index("geom")
-        assert auto is not None
-        assert auto.empty_rows == [0]
-        assert auto.skipped_rows == []
+        block = database.state.tables["t"].envelope_block("geom")
+        assert block is not None
+        assert block.empty_positions == [0]
+        assert block.intersecting(load_wkt("POINT(5 5)").envelope()) == [0]
 
 
 class TestDistanceAndCollectionFaults:

@@ -1,11 +1,11 @@
 """The prefilter observability gate distinguishes evaluation faults.
 
-Historically the R-tree/envelope prefilter disengaged whenever
+Historically the envelope prefilter disengaged whenever
 ``FaultPlan.influences_function`` matched the predicate — including for
 bugs that can never perturb a predicate *evaluation*: ``MECH_NONE``
 placeholders (catalogue entries excluded from Table 3) and
 ``MECH_INDEX_DROPS_EMPTY`` bugs that corrupt only user-created GiST
-indexes (the auto-built prefilter structures always retain EMPTY rows).
+indexes (the batch prefilter's envelope blocks always retain EMPTY rows).
 Refusing the prefilter for those forfeited the fast path without buying
 any observability.  ``FaultPlan.influences_evaluation`` is the fixed
 gate; these tests pin its semantics and the finding-level equivalence of
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from repro.engine.database import connect
 from repro.engine.faults import NON_EVALUATION_MECHANISMS, FaultPlan, bug_by_id
+from repro.geometry.columnar import clear_kernel_stats, kernel_stats
 
 
 class TestInfluencesEvaluation:
@@ -108,14 +109,16 @@ class TestPrefilterEngagesUnderUnaffectedFaults:
 
     def test_identical_findings_with_the_prefilter_on_and_off(self):
         """Regression for the gate fix: under a fault that matches the join
-        predicate but cannot touch its evaluation, the prefiltered plan
-        (gate now open), the unprefiltered plan (the old gate's behaviour)
-        and the batch plan all report the same rows and the same trigger
-        stream — EMPTY and collection rows included."""
-        prefiltered = self._findings(fast_path=True, vectorized=False)
-        unprefiltered = self._findings(fast_path=False, vectorized=False)
-        batch = self._findings(fast_path=True, vectorized=True)
-        assert prefiltered == unprefiltered == batch
+        predicate but cannot touch its evaluation, the prefiltered batch
+        plan (gate now open), the batch plan without the prefilter (the old
+        gate's behaviour) and the scalar plan all report the same rows and
+        the same trigger stream — EMPTY and collection rows included."""
+        clear_kernel_stats()
+        prefiltered = self._findings(fast_path=True, vectorized=True)
+        assert kernel_stats()["envelope_queries"] > 0  # the prefilter ran
+        unprefiltered = self._findings(fast_path=False, vectorized=True)
+        scalar = self._findings(fast_path=True, vectorized=False)
+        assert prefiltered == unprefiltered == scalar
         rows, triggered = prefiltered
         assert (1, 2) in rows and (1, 5) in rows  # real containments found
         assert triggered == []  # the inert fault has no behaviour to fire

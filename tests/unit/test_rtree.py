@@ -57,64 +57,6 @@ class TestInsertAndSearch:
             RTree(max_entries=3, min_entries=2)
 
 
-class TestBulkLoad:
-    def test_bulk_load_matches_brute_force(self):
-        rng = random.Random(13)
-        entries = []
-        for row_id in range(200):
-            x, y = rng.randint(0, 200), rng.randint(0, 200)
-            entries.append((box(x, y, x + rng.randint(0, 8), y + rng.randint(0, 8)), row_id))
-        tree = RTree.bulk_load(entries)
-        assert tree.size == 200
-        for _ in range(25):
-            x, y = rng.randint(0, 200), rng.randint(0, 200)
-            query = box(x, y, x + 20, y + 20)
-            assert set(tree.search(query)) == brute_force(entries, query)
-
-    def test_bulk_load_empty(self):
-        tree = RTree.bulk_load([])
-        assert tree.size == 0
-        assert tree.search(box(0, 0, 1, 1)) == []
-        assert tree.all_row_ids() == []
-
-    def test_bulk_load_single(self):
-        tree = RTree.bulk_load([(box(0, 0, 1, 1), 42)])
-        assert tree.search(box(0, 0, 1, 1)) == [42]
-        assert tree.size == 1
-
-    def test_bulk_load_empty_then_insert(self):
-        tree = RTree.bulk_load([])
-        tree.insert(box(0, 0, 1, 1), 5)
-        assert tree.search(box(0, 0, 2, 2)) == [5]
-
-    def test_bulk_load_duplicate_envelopes(self):
-        entries = [(box(5, 5, 6, 6), row_id) for row_id in range(50)]
-        tree = RTree.bulk_load(entries, max_entries=4, min_entries=2)
-        _check_structure(tree)
-        assert set(tree.search(box(5, 5, 6, 6))) == set(range(50))
-        assert tree.search(box(7, 7, 8, 8)) == []
-
-    def test_bulk_load_degenerate_point_envelopes(self):
-        entries = [(box(i, i, i, i), i) for i in range(30)]
-        tree = RTree.bulk_load(entries, max_entries=4, min_entries=2)
-        _check_structure(tree)
-        for i in range(30):
-            assert i in set(tree.search(box(i, i, i, i)))
-        query = box(10, 10, 20, 20)
-        assert set(tree.search(query)) == brute_force(entries, query)
-
-    def test_insert_after_bulk_load_stays_consistent(self):
-        entries = [(box(i, 0, i + 1, 1), i) for i in range(9)]
-        tree = RTree.bulk_load(entries, max_entries=4, min_entries=2)
-        for i in range(9, 30):
-            envelope = box(i, 0, i + 1, 1)
-            entries.append((envelope, i))
-            tree.insert(envelope, i)
-        _check_structure(tree)
-        query = box(3, 0, 12, 1)
-        assert set(tree.search(query)) == brute_force(entries, query)
-
-
 def _check_structure(tree: RTree) -> None:
     """Capacity bound on every node and uniform leaf depth."""
     depths: set[int] = set()
