@@ -440,7 +440,7 @@ def _print_report(result, arguments) -> None:
     print(result.summary())
     # Only label the counters as fast-path output on the in-process engine;
     # on an external backend the remaining traffic is the seed's
-    # unconditional layers (relate WKT memo, ST_Contains routing) and would
+    # unconditional layers (relate memo, ST_Contains routing) and would
     # mislead.
     if result.cache_stats and result.config.backend == "inprocess":
         prepared_hits = result.cache_stats.get("prepared_hits", 0)

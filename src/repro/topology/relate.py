@@ -172,17 +172,11 @@ class IntersectionMatrix:
         return True
 
 
-#: cache of relate results keyed by (WKT a, WKT b, collection strategy).
-#: Real engines cache prepared geometries for the same reason: spatial joins
-#: evaluate the same geometry pair under many predicates.
-_RELATE_CACHE: dict[tuple[str, str, str], IntersectionMatrix] = {}
-_RELATE_CACHE_LIMIT = 16384
-
-#: identity-keyed memo in front of the WKT cache: the nine derived named
-#: predicates (within/contains/covers/...) all call ``relate`` on the *same
-#: object pair*, and the interned parser (:mod:`repro.geometry.cache`) makes
-#: repeated evaluations of one literal hand back the same objects, so an
-#: ``id``-based lookup skips even the (memoized) WKT key construction.  The
+#: identity-keyed memo of relate results: spatial joins evaluate the same
+#: geometry pair under many predicates, the nine derived named predicates
+#: (within/contains/covers/...) all call ``relate`` on the *same object
+#: pair*, and the interned parser (:mod:`repro.geometry.cache`) makes
+#: repeated evaluations of one literal hand back the same objects.  The
 #: values pin the geometry objects so their ids cannot be recycled while the
 #: entry lives.
 _RELATE_ID_CACHE: dict[
@@ -203,7 +197,6 @@ _DESCRIPTOR_CACHE_LIMIT = 8192
 
 def clear_relate_cache() -> None:
     """Drop all memoised relate results (used by benchmarks and tests)."""
-    _RELATE_CACHE.clear()
     _RELATE_ID_CACHE.clear()
     _DESCRIPTOR_CACHE.clear()
     _RELATE_STATS["hits"] = 0
@@ -211,24 +204,12 @@ def clear_relate_cache() -> None:
 
 
 def relate_cache_stats() -> dict[str, int]:
-    """Hit/miss counters plus current cache sizes."""
+    """Hit/miss counters plus the identity memo's current size."""
     return {
         "hits": _RELATE_STATS["hits"],
         "misses": _RELATE_STATS["misses"],
-        "entries": len(_RELATE_CACHE),
-        "identity_entries": len(_RELATE_ID_CACHE),
+        "entries": len(_RELATE_ID_CACHE),
     }
-
-
-def _remember_identity(
-    identity_key: tuple[int, int, str],
-    a: Geometry,
-    b: Geometry,
-    matrix: IntersectionMatrix,
-) -> None:
-    if len(_RELATE_ID_CACHE) >= _RELATE_ID_CACHE_LIMIT:
-        _RELATE_ID_CACHE.clear()
-    _RELATE_ID_CACHE[identity_key] = (a, b, matrix)
 
 
 def relate(
@@ -241,23 +222,13 @@ def relate(
     if identity_hit is not None and identity_hit[0] is a and identity_hit[1] is b:
         _RELATE_STATS["hits"] += 1
         return identity_hit[2]
-    wkt_key = (a.wkt, b.wkt, strategy)
-    cached = _RELATE_CACHE.get(wkt_key)
-    if cached is not None:
-        # A read must never trigger the WKT store's clear-on-overflow (a
-        # full cache would be wiped by its own hits); only promote the
-        # result into the identity memo.
-        _RELATE_STATS["hits"] += 1
-        _remember_identity(identity_key, a, b, cached)
-        return cached
     _RELATE_STATS["misses"] += 1
     descriptor_a = _descriptor_for(a, strategy)
     descriptor_b = _descriptor_for(b, strategy)
     matrix = relate_descriptors(descriptor_a, descriptor_b)
-    if len(_RELATE_CACHE) >= _RELATE_CACHE_LIMIT:
-        _RELATE_CACHE.clear()
-    _RELATE_CACHE[wkt_key] = matrix
-    _remember_identity(identity_key, a, b, matrix)
+    if len(_RELATE_ID_CACHE) >= _RELATE_ID_CACHE_LIMIT:
+        _RELATE_ID_CACHE.clear()
+    _RELATE_ID_CACHE[identity_key] = (a, b, matrix)
     return matrix
 
 

@@ -4,8 +4,9 @@ Seeded stdlib-``random`` sweeps (no hypothesis dependency, deterministic by
 construction) over every geometry type — GEOMETRYCOLLECTION and EMPTY
 variants included — asserting that
 
-* ``topology.relate`` returns the same matrix through the identity/WKT memo
-  as a direct ``relate_descriptors`` computation;
+* ``topology.relate`` returns the same matrix through the identity memo as
+  a direct ``relate_descriptors`` computation, and for a re-parsed copy of
+  the pair;
 * every prepared-cache-routed predicate equals its direct
   ``topology.predicates`` counterpart, hit or miss, under both collection
   strategies;
@@ -121,8 +122,8 @@ def test_cached_relate_equals_direct_computation():
         )
         via_cache_cold = relate(a, b, options)
         via_cache_warm = relate(a, b, options)  # identity-memo hit
-        via_wkt_key = relate(load_wkt(a.wkt), load_wkt(b.wkt), options)
-        assert str(direct) == str(via_cache_cold) == str(via_cache_warm) == str(via_wkt_key)
+        reparsed = relate(load_wkt(a.wkt), load_wkt(b.wkt), options)
+        assert str(direct) == str(via_cache_cold) == str(via_cache_warm) == str(reparsed)
 
 
 def test_prepared_cached_predicates_equal_direct_evaluation():

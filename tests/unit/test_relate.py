@@ -16,7 +16,14 @@ from repro.topology.labels import (
     TopologyDescriptor,
     combine_classes,
 )
-from repro.topology.relate import IntersectionMatrix, RelateOptions, relate
+from repro.geometry.wkt import load_wkt as parse_wkt
+from repro.topology.relate import (
+    IntersectionMatrix,
+    RelateOptions,
+    clear_relate_cache,
+    relate,
+    relate_cache_stats,
+)
 
 
 def matrix_of(wkt_a: str, wkt_b: str) -> str:
@@ -274,3 +281,17 @@ class TestPreparedTopology:
         clear_kernel_stats()
         assert descriptor.prepared() is descriptor.prepared()
         assert kernel_stats()["prepared_descriptors"] == 1
+
+
+class TestRelateMemo:
+    def test_memo_is_keyed_by_identity_not_by_wkt(self):
+        """Distinct objects with equal WKT are computed apart: the interner,
+        not the relate memo, is what makes repeated literals share one
+        entry."""
+        a_wkt, b_wkt = "POLYGON((0 0,4 0,4 4,0 4,0 0))", "LINESTRING(1 1,5 5)"
+        clear_relate_cache()
+        first = relate(parse_wkt(a_wkt), parse_wkt(b_wkt))
+        second = relate(parse_wkt(a_wkt), parse_wkt(b_wkt))
+        assert first == second
+        stats = relate_cache_stats()
+        assert (stats["hits"], stats["misses"], stats["entries"]) == (0, 2, 2)
