@@ -68,7 +68,7 @@ class SQLiteSession:
         self.dialect = dialect
         self.fault_plan = fault_plan
         self.stats = ExecutionStats()
-        self.registry = FunctionRegistry(dialect, fault_plan, fast_path=False)
+        self.registry = FunctionRegistry(dialect, fault_plan)
         self.connection = sqlite3.connect(":memory:")
         #: the original exception of the innermost failing UDF call; sqlite3
         #: flattens UDF errors to OperationalError, so execute() re-raises

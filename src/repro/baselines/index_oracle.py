@@ -70,11 +70,10 @@ class IndexToggleOracle:
         database = self.database_factory()
         if getattr(database, "fast_path", False):
             # The Index oracle compares the seed engine's two scan paths;
-            # disable the fast-path planner features on this connection so
-            # the only index machinery in play is the one it toggles itself.
+            # disable the envelope prefilter on this connection so the only
+            # index machinery in play is the one it toggles itself.
             database.fast_path = False
             database.executor.fast_path = False
-            database.registry.fast_path = False
         if getattr(database, "vectorized", False):
             # Same reasoning for the batch executor: both scan paths must be
             # the seed engine's row-at-a-time plans, not batch pipelines.

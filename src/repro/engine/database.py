@@ -60,9 +60,7 @@ class SpatialDatabase:
                 bug.mechanism == "prepared_collection_false" for bug in self.fault_plan.active_bugs
             )
         )
-        self.registry = FunctionRegistry(
-            self.dialect, self.fault_plan, self.prepared_cache, fast_path=fast_path
-        )
+        self.registry = FunctionRegistry(self.dialect, self.fault_plan, self.prepared_cache)
         self.state = SpatialDatabaseState()
         self.executor = Executor(
             self.state, self.registry, self.fault_plan, fast_path=fast_path, vectorized=vectorized
@@ -113,8 +111,8 @@ class SpatialDatabase:
         Mirrors executing ``DatabaseSpec.create_statements`` statement for
         statement — same table/column names and lower-casing, same 1-based
         ``id`` values, same duplicate-table error, same statement counter
-        and index behaviour (``auto`` indexes honour the same
-        drop-empty-from-index fault) — but stores the given ``Geometry``
+        and index behaviour (every insert carries the same
+        drop-empty-from-index fault flag) — but stores the given ``Geometry``
         objects directly instead of parsing their WKT out of INSERT
         literals.  Callers guarantee each object is value-identical to the
         parse of the WKT the legacy path would have inserted.
@@ -204,10 +202,9 @@ def connect(
     ``emulate_release_under_test=True`` instead activates the default profile
     for the dialect (every catalog bug the paper reported against that
     system), which is what the testing-campaign experiments use.
-    ``fast_path=False`` disables the execution fast-path layer (prepared
-    caching beyond ST_Contains and the batch executor's envelope
-    prefilter) — the reference configuration for the differential
-    self-checks and for the Index baseline oracle.  ``vectorized=False`` additionally routes every
+    ``fast_path=False`` turns off the batch executor's envelope prefilter —
+    the reference configuration for the differential self-checks and for
+    the Index baseline oracle.  ``vectorized=False`` additionally routes every
     SELECT through the scalar row-at-a-time interpreter instead of the
     batch-operator pipeline.
     """

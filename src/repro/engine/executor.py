@@ -38,8 +38,7 @@ from repro.engine.vectorized import compile_select
 #: through the spatial function registry).
 _AGGREGATE_FUNCTIONS = {"count", "sum"}
 
-#: functions whose candidate set can be narrowed with an envelope filter
-#: (shared with the prepared-geometry cache's routing table).
+#: functions whose candidate set can be narrowed with an envelope filter.
 _INDEXABLE_PREDICATES = INDEXABLE_PREDICATES
 
 

@@ -6,26 +6,19 @@ and caching per-candidate results.  The paper found a logic bug in exactly
 this component (Listing 7): the prepared variant of ``ST_Contains`` silently
 disagreed with the non-prepared variant.
 
-MiniSDB implements the same architecture: joins evaluate containment
-predicates through a :class:`PreparedGeometryCache`.  When the
-``geos-prepared-contains-collection`` bug is active, a *repeated*
-GEOMETRYCOLLECTION probe against the same prepared geometry is answered
-incorrectly with ``False`` instead of the cached result, reproducing the
-"pair (3,2) is missing" symptom of Listing 7.
+MiniSDB implements the same architecture: on GEOS-backed dialects,
+``ST_Contains`` evaluates through a :class:`PreparedGeometryCache`, and no
+other predicate does (the relate identity memo already answers their
+repeats).  When the ``geos-prepared-contains-collection`` bug is active, a
+*repeated* GEOMETRYCOLLECTION probe against the same prepared geometry is
+answered incorrectly with ``False`` instead of the cached result,
+reproducing the "pair (3,2) is missing" symptom of Listing 7.
 
-With the execution fast path enabled the cache serves the whole
-:data:`INDEXABLE_PREDICATES` family, not just ``ST_Contains``.  Two
-invariants keep the fault-injection semantics intact:
-
-* the Listing 7 perturbation is ``ST_Contains``-specific (the bug the paper
-  reports lives in the prepared-containment fast path); results cached for
-  the other predicates are pure memoization and can never differ from a
-  direct evaluation;
-* the bug's trigger state (which collection probes have been seen before)
-  is tracked independently of the bounded result store, so evicting a
-  result under the LRU limit can never *mask* the injected bug — a repeated
-  collection probe misbehaves whether or not its first answer is still
-  cached.
+The bug's trigger state (which collection probes have been seen before) is
+tracked independently of the bounded result store, so evicting a result
+under the LRU limit can never *mask* the injected bug — a repeated
+collection probe misbehaves whether or not its first answer is still
+cached.
 """
 
 from __future__ import annotations
@@ -35,9 +28,7 @@ from collections import OrderedDict
 from repro.geometry.model import Geometry, GeometryCollection
 
 #: boolean predicates whose candidate set can be narrowed with an envelope
-#: filter and whose results the prepared cache may memoize.  This is the
-#: single source of truth shared by the executor's index planner and the
-#: function registry's cache routing.
+#: filter: the executor's index and prefilter planner list.
 INDEXABLE_PREDICATES = frozenset(
     {
         "st_intersects",

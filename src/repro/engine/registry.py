@@ -34,7 +34,7 @@ from repro.geometry.validity import is_valid
 from repro.engine import faults
 from repro.engine.dialects import Dialect
 from repro.engine.faults import FaultPlan
-from repro.engine.prepared import INDEXABLE_PREDICATES, PreparedGeometryCache
+from repro.engine.prepared import PreparedGeometryCache
 from repro.functions import accessors, affine_ops, constructive, linear, metrics
 from repro import overlay
 from repro.topology import measures, predicates
@@ -81,11 +81,9 @@ class FunctionRegistry:
         dialect: Dialect,
         fault_plan: FaultPlan | None = None,
         prepared_cache: PreparedGeometryCache | None = None,
-        fast_path: bool = True,
     ):
         self.dialect = dialect
         self.fault_plan = fault_plan or FaultPlan.none()
-        self.fast_path = fast_path
         self.prepared_cache = prepared_cache or PreparedGeometryCache(
             buggy_collection_repeat=self.fault_plan.has_mechanism(
                 faults.MECH_PREPARED_COLLECTION_FALSE
@@ -396,26 +394,6 @@ class FunctionRegistry:
         return None if value is None else float(value)
 
     # -- named predicates -------------------------------------------------------
-    def _cached_predicate(self, function_name: str, prepared: Geometry, probe: Geometry, compute):
-        """Route a predicate's final computation through the prepared cache.
-
-        Every fault hook (crash checks, overrides, trigger recording) runs
-        *before* this point on every evaluation, so caching the final result
-        never changes which injected bugs fire or how often they are
-        recorded.  ``ST_Contains`` keeps its seed routing rule — through the
-        cache exactly on GEOS-backed dialects, in both fast-path modes — so
-        the Listing 7 repeated-probe perturbation behaves identically with
-        the fast path on and off; the remaining indexable predicates are
-        pure memoization and only routed when the fast path is enabled.
-        """
-        if function_name == "st_contains":
-            if self.dialect.geos_backed:
-                return self.prepared_cache.evaluate(function_name, prepared, probe, compute)
-            return compute()
-        if self.fast_path and function_name in INDEXABLE_PREDICATES:
-            return self.prepared_cache.evaluate(function_name, prepared, probe, compute)
-        return compute()
-
     def _predicate(self, implementation, function_name: str):
         def evaluate(a: Any, b: Any) -> bool | None:
             geom_a = self._coerce_geometry(a)
@@ -427,12 +405,7 @@ class FunctionRegistry:
             if override is not None:
                 return override
             options = self._relate_options(function_name, geom_a, geom_b)
-            return self._cached_predicate(
-                function_name,
-                geom_a,
-                geom_b,
-                lambda: implementation(geom_a, geom_b, options),
-            )
+            return implementation(geom_a, geom_b, options)
 
         return evaluate
 
@@ -449,15 +422,8 @@ class FunctionRegistry:
         if self.fault_plan.has_mechanism(faults.MECH_WITHIN_LARGE_COORDS, "st_within"):
             if max(max_absolute_coordinate(geom_a), max_absolute_coordinate(geom_b)) >= 1000:
                 self.fault_plan.record_trigger(faults.MECH_WITHIN_LARGE_COORDS, "st_within")
-                return self._cached_predicate(
-                    "st_within",
-                    geom_a,
-                    geom_b,
-                    lambda: predicates.covered_by(geom_a, geom_b, options),
-                )
-        return self._cached_predicate(
-            "st_within", geom_a, geom_b, lambda: predicates.within(geom_a, geom_b, options)
-        )
+                return predicates.covered_by(geom_a, geom_b, options)
+        return predicates.within(geom_a, geom_b, options)
 
     def _st_contains(self, a: Any, b: Any) -> bool | None:
         geom_a = self._coerce_geometry(a)
@@ -469,11 +435,15 @@ class FunctionRegistry:
         if override is not None:
             return override
         options = self._relate_options("st_contains", geom_a, geom_b)
-        if self.dialect.geos_backed and self.prepared_cache.buggy_collection_repeat:
-            # GEOS-backed systems evaluate containment through the prepared
-            # geometry cache during joins (see _cached_predicate).
+        if not self.dialect.geos_backed:
+            return predicates.contains(geom_a, geom_b, options)
+        # GEOS-backed systems evaluate containment through the prepared
+        # geometry cache, the component of the Listing 7 bug.  Every fault
+        # hook above runs before it on every evaluation, so the cache never
+        # changes which injected bugs fire or how often they are recorded.
+        if self.prepared_cache.buggy_collection_repeat:
             self.fault_plan.record_trigger(faults.MECH_PREPARED_COLLECTION_FALSE, "st_contains")
-        return self._cached_predicate(
+        return self.prepared_cache.evaluate(
             "st_contains",
             geom_a,
             geom_b,
@@ -501,30 +471,20 @@ class FunctionRegistry:
             largest = max(max_absolute_coordinate(geom_a), max_absolute_coordinate(geom_b))
             if largest >= 100:
                 self.fault_plan.record_trigger(faults.MECH_CROSSES_LARGE_COORDS, "st_crosses")
-                return self._cached_predicate(
-                    "st_crosses",
-                    geom_a,
-                    geom_b,
-                    lambda: predicates.intersects(geom_a, geom_b, options),
-                )
+                return predicates.intersects(geom_a, geom_b, options)
 
         # The dimension lookup is a fault hook (it records the first-element
-        # dimension bug), so it must run on every evaluation, outside the
-        # cached computation.
+        # dimension bug).
         dim_a = self._dimension_for("st_crosses", geom_a)
         dim_b = self._dimension_for("st_crosses", geom_b)
-
-        def compute() -> bool:
-            matrix = relate(geom_a, geom_b, options)
-            if dim_a < dim_b:
-                return matrix.matches("T*T******")
-            if dim_a > dim_b:
-                return matrix.matches("T*****T**")
-            if dim_a == 1 and dim_b == 1:
-                return matrix.matches("0********")
-            return False
-
-        return self._cached_predicate("st_crosses", geom_a, geom_b, compute)
+        matrix = relate(geom_a, geom_b, options)
+        if dim_a < dim_b:
+            return matrix.matches("T*T******")
+        if dim_a > dim_b:
+            return matrix.matches("T*****T**")
+        if dim_a == 1 and dim_b == 1:
+            return matrix.matches("0********")
+        return False
 
     def _st_overlaps(self, a: Any, b: Any) -> bool | None:
         geom_a = self._coerce_geometry(a)
@@ -539,26 +499,18 @@ class FunctionRegistry:
         if self.fault_plan.has_mechanism(faults.MECH_OVERLAPS_ORIENTATION, "st_overlaps"):
             if self._landscape_extent(geom_a, geom_b):
                 self.fault_plan.record_trigger(faults.MECH_OVERLAPS_ORIENTATION, "st_overlaps")
-                return self._cached_predicate(
-                    "st_overlaps",
-                    geom_a,
-                    geom_b,
-                    lambda: predicates.intersects(geom_a, geom_b, options)
-                    and not predicates.equals(geom_a, geom_b, options),
+                return predicates.intersects(geom_a, geom_b, options) and not (
+                    predicates.equals(geom_a, geom_b, options)
                 )
-        # Fault hook (dimension bug recording); must run per evaluation.
+        # Fault hook (dimension bug recording).
         dim_a = self._dimension_for("st_overlaps", geom_a)
         dim_b = self._dimension_for("st_overlaps", geom_b)
         if dim_a != dim_b:
             return False
-
-        def compute() -> bool:
-            matrix = relate(geom_a, geom_b, options)
-            if dim_a == 1:
-                return matrix.matches("1*T***T**")
-            return matrix.matches("T*T***T**")
-
-        return self._cached_predicate("st_overlaps", geom_a, geom_b, compute)
+        matrix = relate(geom_a, geom_b, options)
+        if dim_a == 1:
+            return matrix.matches("1*T***T**")
+        return matrix.matches("T*T***T**")
 
     @staticmethod
     def _landscape_extent(a: Geometry, b: Geometry) -> bool:
@@ -596,15 +548,8 @@ class FunctionRegistry:
             buggy = self._covers_float_path(geom_covering, geom_covered)
             if buggy is not None:
                 self.fault_plan.record_trigger(faults.MECH_COVERS_PRECISION_LOSS, function_name)
-                return self._cached_predicate(
-                    function_name, geom_covering, geom_covered, lambda: buggy
-                )
-        return self._cached_predicate(
-            function_name,
-            geom_covering,
-            geom_covered,
-            lambda: predicates.covers(geom_covering, geom_covered, options),
-        )
+                return buggy
+        return predicates.covers(geom_covering, geom_covered, options)
 
     @staticmethod
     def _covers_float_path(covering: Geometry, covered: Geometry) -> bool | None:

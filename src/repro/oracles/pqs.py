@@ -158,7 +158,7 @@ class PivotedQueryOracle(CampaignOracle):
         entire bug-finding signal is the system under test disagreeing with
         its own fixed evaluation semantics.
         """
-        return FunctionRegistry(capabilities.dialect, FaultPlan.none(), fast_path=False)
+        return FunctionRegistry(capabilities.dialect, FaultPlan.none())
 
     def random_predicate(
         self,

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.engine.database import connect
+from repro.engine.dialects import get_dialect
 from repro.engine.prepared import (
     DEFAULT_CAPACITY,
     INDEXABLE_PREDICATES,
@@ -126,8 +128,8 @@ class TestBugSemanticsUnderEviction:
         assert cache.bug_fired
 
     def test_bug_is_contains_specific(self):
-        """Routing the other indexable predicates through the cache must be
-        pure memoization — Listing 7 lives in prepared containment only."""
+        """Results the cache holds under any other predicate name are pure
+        memoization — Listing 7 lives in prepared containment only."""
         cache = PreparedGeometryCache(buggy_collection_repeat=True, capacity=8)
         prepared, probe = self._pair()
         for name in sorted(INDEXABLE_PREDICATES - {"st_contains"}):
@@ -150,3 +152,30 @@ class TestBugSemanticsUnderEviction:
         for _ in range(3):
             assert cache.evaluate("st_contains", prepared, probe, lambda: True) is True
         assert not cache.bug_fired
+
+
+#: (dialect, predicate) for every indexable predicate each dialect supports:
+#: all nine on GEOS-backed ``postgis``, seven on ``mysql`` (no ST_Covers or
+#: ST_CoveredBy).
+_ROUTED = [
+    (dialect, name)
+    for dialect in ("postgis", "mysql")
+    for name in sorted(INDEXABLE_PREDICATES)
+    if get_dialect(dialect).supports_function(name)
+]
+
+
+class TestRegistryRouting:
+    """Only ``ST_Contains`` on a GEOS-backed dialect evaluates through the
+    prepared cache (the Listing 7 component); every other predicate is
+    computed directly, and the relate identity memo answers its repeats."""
+
+    @pytest.mark.parametrize("dialect, name", _ROUTED)
+    def test_only_geos_contains_moves_the_prepared_counters(self, dialect, name):
+        database = connect(dialect)
+        sql = f"SELECT {name}('POLYGON((0 0,4 0,4 4,0 4,0 0))', 'POINT(1 1)')"
+        before = database.cache_stats()
+        first = database.query_value(sql)
+        assert database.query_value(sql) == first
+        moved = database.cache_stats() != before
+        assert moved == (name == "st_contains" and dialect == "postgis")
