@@ -61,6 +61,11 @@ from repro.store.serialize import jsonable
 #: submission keys that are budget/run options rather than config fields.
 _SUBMISSION_KEYS = {"rounds", "duration_seconds", "preseed"}
 
+#: config fields a client may not set: ``trace_file`` names a path the
+#: campaign would truncate and append to on the server host (the service
+#: streams events through ``GET /campaigns/{id}/events`` instead).
+_SERVER_ONLY_FIELDS = {"trace_file"}
+
 #: default/maximum long-poll wait, seconds.
 _DEFAULT_WAIT = 25.0
 _MAX_WAIT = 60.0
@@ -107,7 +112,7 @@ def parse_submission(body) -> tuple[CampaignConfig, int | None, float | None, bo
     preseed)``, raising :class:`ValueError` on anything malformed."""
     if not isinstance(body, dict):
         raise ValueError("request body must be a JSON object")
-    known = set(CampaignConfig.__dataclass_fields__)
+    known = set(CampaignConfig.__dataclass_fields__) - _SERVER_ONLY_FIELDS
     unknown = set(body) - known - _SUBMISSION_KEYS
     if unknown:
         raise ValueError(f"unknown submission keys: {', '.join(sorted(unknown))}")

@@ -181,14 +181,24 @@ class TestErrorPaths:
         assert excinfo.value.code == code
         return json.loads(excinfo.value.read())["error"]
 
-    def test_unknown_submission_key_is_400(self, service):
-        # the retired campaign options are unknown keys like any other
-        for key in ("bogus", "fast_path", "vectorized", "reuse"):
+    def test_unknown_submission_key_is_400(self, service, tmp_path):
+        # the retired campaign options are unknown keys like any other, and
+        # so is trace_file: a client may not name a path for the server to
+        # write (events stream through GET /campaigns/{id}/events instead)
+        trace_path = tmp_path / "client-chosen-trace.jsonl"
+        for key, value in (
+            ("bogus", False),
+            ("fast_path", False),
+            ("vectorized", False),
+            ("reuse", False),
+            ("trace_file", str(trace_path)),
+        ):
             message = self.expect_error(
-                lambda: post(service, "/campaigns", {key: False}), 400
+                lambda: post(service, "/campaigns", {**SUBMISSION, key: value}), 400
             )
             assert "unknown submission keys" in message
             assert key in message
+        assert not trace_path.exists()
 
     def test_unknown_registry_names_are_400(self, service):
         assert "dialect" in self.expect_error(
