@@ -36,7 +36,7 @@ def _run_configuration(use_derivative_strategy: bool, workers: int = 1) -> dict:
         workers=workers,
         # the figure reproduces the paper's tool, whose oracle is the single
         # JOIN template; the scenario suite is measured separately by
-        # bench_scenario_throughput.py.
+        # aeibench/ and bench_scheduler_yield.py.
         scenarios=("topological-join",),
     )
     with tracker:

@@ -21,7 +21,7 @@ Contracts asserted at the fixed seed:
 
 The measured rows are written to ``BENCH_scheduler_yield.json`` (static =
 "before", bandit = "after") next to the text report and at the repository
-root, in the convention of ``BENCH_scenario_throughput.json``.
+root.
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
 """Feedback-guided allocation of the round query budget across arms.
 
 The paper evaluates Spatter by unique bugs found per wall-clock budget, and
-the measured per-scenario yield spread is extreme (``join-chain`` finds 11
-unique bugs at 0.48 rounds/s while the metric scenarios find 0 at 150+
-rounds/s — see ``BENCH_scenario_throughput.json``), yet the static
-:func:`repro.core.oracle.allocate_query_budget` split spends the same
-budget on every scenario each round.  This module closes that loop with a
+the measured per-arm yield spread is wide (in the bandit run of
+``BENCH_scheduler_yield.json`` the set-theoretic arm spent 63 queries for 0
+novel signatures, PQS 28 for 3 and ``topological-join`` 50 for 8), yet the
+static :func:`repro.core.oracle.allocate_query_budget` split spends the
+same budget on every scenario each round.  This module closes that loop with a
 bandit: each *arm* is one (scenario | oracle-family) unit drawn from the
 existing registries, its *reward stream* is the marginal number of new
 dedup-signature keys (:func:`repro.core.dedup.signature_identity` space)
