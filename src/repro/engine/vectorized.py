@@ -122,10 +122,14 @@ class BatchSelectPlan:
         sources: list[tuple[str, list[dict[str, Any]]]] = []
         for item in statement.from_items:
             binding, rows = executor._rows_for_item(item)
-            filtered = self._batch_scan_filter(item, binding, rows)
-            if filtered is None:
-                filtered = executor._maybe_filter_with_index(statement, item, binding, rows)
-            sources.append((binding, filtered))
+            if executor._use_index():
+                # A user-created index must keep the scalar code path's
+                # exact semantics, so a fault-corrupted index stays
+                # observable.
+                rows = executor._maybe_filter_with_index(statement, item, binding, rows)
+            else:
+                rows = self._batch_scan_filter(item, binding, rows)
+            sources.append((binding, rows))
 
         environments: list[dict[str, dict[str, Any]]] = [{}]
         for binding, rows in sources:
@@ -140,10 +144,8 @@ class BatchSelectPlan:
     def _batch_scan_filter(self, item, binding, rows):
         """Columnar prescreen for the single-table constant probe.
 
-        Returns the filtered row block, or ``None`` when sequential scans
-        are off: then the scalar helper runs the user-index path, keeping
-        any fault-corrupted index observable.  Besides the indexable
-        predicates, an ``ST_DWithin`` probe with a literal distance gets the
+        Returns the filtered row block.  Besides the indexable predicates,
+        an ``ST_DWithin`` probe with a literal distance gets the
         bbox-distance prescreen.
         """
         executor = self.executor
@@ -154,10 +156,6 @@ class BatchSelectPlan:
             return rows
         if not isinstance(item, ast.TableRef):
             return rows
-        if executor._use_index():
-            # A user-created index must keep the scalar code path's exact
-            # semantics.
-            return None
         if not executor.fast_path or not rows:
             return rows
         threshold = None
