@@ -5,9 +5,9 @@ the measured per-arm yield spread is wide (in the bandit run of
 ``BENCH_scheduler_yield.json`` the set-theoretic arm spent 63 queries for 0
 novel signatures, PQS 28 for 3 and ``topological-join`` 50 for 8), yet the
 static :func:`repro.core.oracle.allocate_query_budget` split spends the
-same budget on every scenario each round.  This module closes that loop with a
-bandit: each *arm* is one (scenario | oracle-family) unit drawn from the
-existing registries, its *reward stream* is the marginal number of new
+same budget on every scenario each round.  This module closes that loop
+with a bandit: each *arm* is one (scenario | oracle-family) unit drawn from
+the existing registries, its *reward stream* is the marginal number of new
 dedup-signature keys (:func:`repro.core.dedup.signature_identity` space)
 per query spent — fed from the campaign's :class:`~repro.core.dedup.
 Deduplicator` — and the round budget is re-apportioned every round toward

@@ -159,9 +159,9 @@ class Table:
         envelope per row position (see
         :class:`repro.geometry.columnar.EnvelopeBlock`), always faithful
         regardless of the fault plan — EMPTY rows stay candidates, NULL rows
-        are omitted (a NULL operand makes every indexable predicate NULL).  Returns ``None`` — memoized
-        until the next insert — when the column is not a geometry column or
-        holds a non-geometry non-NULL value.
+        are omitted (a NULL operand makes every indexable predicate NULL).
+        Returns ``None`` — memoized until the next insert — when the column
+        is not a geometry column or holds a non-geometry non-NULL value.
         """
         from repro.geometry.columnar import EnvelopeBlock
 

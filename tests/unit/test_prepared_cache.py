@@ -173,7 +173,12 @@ class TestRegistryRouting:
     @pytest.mark.parametrize("dialect, name", _ROUTED)
     def test_only_geos_contains_moves_the_prepared_counters(self, dialect, name):
         database = connect(dialect)
-        sql = f"SELECT {name}('POLYGON((0 0,4 0,4 4,0 4,0 0))', 'POINT(1 1)')"
+        # Two overlapping squares: equal dimensions, so every predicate
+        # (ST_Overlaps and ST_Crosses included) reaches its final evaluation.
+        sql = (
+            f"SELECT {name}('POLYGON((0 0,4 0,4 4,0 4,0 0))', "
+            "'POLYGON((2 2,6 2,6 6,2 6,2 2))')"
+        )
         before = database.cache_stats()
         first = database.query_value(sql)
         assert database.query_value(sql) == first
