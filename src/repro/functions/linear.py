@@ -29,6 +29,7 @@ from repro.geometry.primitives import (
     segment_point_squared_distance,
     squared_distance,
 )
+from repro.topology.labels import EXTERIOR, TopologyDescriptor
 
 Numeric = Union[int, float, Fraction]
 
@@ -75,12 +76,12 @@ def _vertices_and_segments(geometry: Geometry) -> tuple[list[Coordinate], list[t
 def closest_pair(a: Geometry, b: Geometry) -> tuple[Coordinate, Coordinate] | None:
     """Exact closest pair of points ``(on a, on b)``, or None for EMPTY inputs.
 
-    The minimum distance between two piecewise-linear sets is always attained
-    at a vertex of one set and its projection onto a segment (or a vertex) of
-    the other, unless the sets intersect — the intersection case is handled
-    by the same candidate enumeration because a crossing point is the
-    projection of no vertex but the candidate distance reaches zero only via
-    the topological check below.
+    The minimum distance between two disjoint piecewise-linear sets is always
+    attained at a vertex of one set and its projection onto a segment (or a
+    vertex) of the other.  Sets that meet are answered first: crossing
+    linework at a crossing point, and an operand nested in a polygon of the
+    other (which no vertex projection reaches) at its first vertex located
+    inside, as ``measures.distance`` decides containment.
     """
     vertices_a, segments_a = _vertices_and_segments(a)
     vertices_b, segments_b = _vertices_and_segments(b)
@@ -103,6 +104,16 @@ def closest_pair(a: Geometry, b: Geometry) -> tuple[Coordinate, Coordinate] | No
             shared = segment_intersection(sa[0], sa[1], sb[0], sb[1])
             if shared:
                 return shared[0], shared[0]
+
+    # Nested operands: a vertex of one inside the other is a zero-distance pair.
+    descriptor_b = TopologyDescriptor(b)
+    for va in vertices_a:
+        if descriptor_b.locate(va) != EXTERIOR:
+            return va, va
+    descriptor_a = TopologyDescriptor(a)
+    for vb in vertices_b:
+        if descriptor_a.locate(vb) != EXTERIOR:
+            return vb, vb
 
     for va in vertices_a:
         for vb in vertices_b:

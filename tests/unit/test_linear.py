@@ -82,6 +82,19 @@ class TestClosestPointAndLines:
         connector = LineString([start, end])
         assert metrics.length(connector) == pytest.approx(measures.distance(a, b))
 
+    def test_nested_operands_meet_at_a_vertex_of_the_inner_one(self):
+        outer = load_wkt("POLYGON((0 0,3 0,3 3,0 3,0 0))")
+        inner = load_wkt("POLYGON((1 1,2 1,2 2,1 2,1 1))")
+        assert linear.closest_pair(outer, inner) == (Coordinate(1, 1), Coordinate(1, 1))
+        assert linear.closest_pair(inner, outer) == (Coordinate(1, 1), Coordinate(1, 1))
+        assert linear.closest_point(outer, load_wkt("POINT(2 1)")).wkt == "POINT(2 1)"
+        assert metrics.length(linear.shortest_line(inner, outer)) == 0.0
+
+    def test_operand_in_a_hole_is_not_nested(self):
+        holed = load_wkt("POLYGON((0 0,9 0,9 9,0 9,0 0),(3 3,7 3,7 7,3 7,3 3))")
+        point = load_wkt("POINT(4 5)")
+        assert linear.shortest_line(holed, point).wkt == "LINESTRING(3 5,4 5)"
+
 
 class TestLineMerge:
     def test_merges_two_chains_sharing_an_endpoint(self):
