@@ -73,12 +73,10 @@ class IndexToggleOracle:
             # disable the envelope prefilter on this connection so the only
             # index machinery in play is the one it toggles itself.
             database.fast_path = False
-            database.executor.fast_path = False
         if getattr(database, "vectorized", False):
             # Same reasoning for the batch executor: both scan paths must be
             # the seed engine's row-at-a-time plans, not batch pipelines.
             database.vectorized = False
-            database.executor.vectorized = False
         for statement in spec.create_statements():
             database.execute(statement)
         for table in spec.table_names():

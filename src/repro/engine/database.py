@@ -53,8 +53,6 @@ class SpatialDatabase:
         if fault_plan is None and use_default_faults:
             fault_plan = FaultPlan.from_ids(default_fault_profile(self.dialect.name))
         self.fault_plan = fault_plan or FaultPlan.none()
-        self.fast_path = fast_path
-        self.vectorized = vectorized
         self.prepared_cache = PreparedGeometryCache(
             buggy_collection_repeat=any(
                 bug.mechanism == "prepared_collection_false" for bug in self.fault_plan.active_bugs
@@ -66,6 +64,26 @@ class SpatialDatabase:
             self.state, self.registry, self.fault_plan, fast_path=fast_path, vectorized=vectorized
         )
         self.stats = ExecutionStats()
+
+    # The executor owns the path flags; these properties read and write its
+    # copy, so one assignment switches the path the next statement takes.
+    @property
+    def fast_path(self) -> bool:
+        """Whether the batch executor may use its envelope prefilter."""
+        return self.executor.fast_path
+
+    @fast_path.setter
+    def fast_path(self, enabled: bool) -> None:
+        self.executor.fast_path = enabled
+
+    @property
+    def vectorized(self) -> bool:
+        """Whether SELECTs run through the batch-operator pipeline."""
+        return self.executor.vectorized
+
+    @vectorized.setter
+    def vectorized(self, enabled: bool) -> None:
+        self.executor.vectorized = enabled
 
     # ------------------------------------------------------------------ API
     def execute(self, sql: str) -> ResultSet:

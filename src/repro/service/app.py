@@ -8,8 +8,8 @@ turning the CLI tester into a long-running campaign service — the
 * ``POST /campaigns`` — submit a campaign config (the JSON shape of
   :class:`~repro.core.campaign.CampaignConfig`, plus ``rounds`` /
   ``duration_seconds`` / ``preseed``); returns the campaign id immediately
-  and runs the campaign through the existing parallel orchestrator on a
-  background worker thread.
+  and runs the campaign through the existing parallel orchestrator
+  (``queued`` until a slot is free; 429 when the queue is full).
 * ``POST /campaigns/{id}/resume`` — finish an interrupted campaign from
   its per-shard checkpoints (same determinism contract as
   ``spatter --resume``).
@@ -26,37 +26,44 @@ turning the CLI tester into a long-running campaign service — the
 * ``GET /stats`` — global store statistics (dedup counts by kind/status).
 * ``GET /healthz`` — liveness probe.
 
-Threading model: :class:`ThreadingHTTPServer` gives every HTTP connection
+Process model: :class:`ThreadingHTTPServer` gives every HTTP connection
 its own thread, and every connection opens its **own**
 :class:`~repro.store.findings.FindingsStore` on first use, shares it
 between its keep-alive requests and closes it when the connection ends —
-sqlite handles never cross thread boundaries.  Campaign execution happens
-on daemon worker threads that call the same :func:`repro.store.runner.
-run_store_campaign` / :func:`~repro.store.runner.resume_store_campaign`
-drivers the CLI uses, so a campaign submitted over HTTP is
-indistinguishable, store-row for store-row, from one run with
-``spatter --store``.
+sqlite handles never cross thread boundaries.  Campaigns run on threads
+of a :class:`~repro.service.processes.CampaignRunner` that call the same
+:func:`repro.store.runner.run_store_campaign` /
+:func:`~repro.store.runner.resume_store_campaign` functions the CLI uses, so
+a campaign submitted over HTTP is indistinguishable, store-row for
+store-row, from one run with ``spatter --store``.  ``spatter serve`` keeps
+those threads in the process it starts and answers HTTP from a forked
+front end (:mod:`repro.service.processes`), so API requests never wait
+for the GIL behind campaign work; an in-process server
+(:func:`create_server`) runs both in one process.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import threading
-import traceback
-from dataclasses import asdict
+import os
+import signal
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 from repro.core.campaign import CampaignConfig
-from repro.store.findings import FindingsStore, wait_for_events
-from repro.store.runner import (
-    config_from_json,
-    new_campaign_id,
-    resume_store_campaign,
-    run_store_campaign,
+from repro.service.processes import (
+    RETRY_AFTER_SECONDS,
+    CampaignRunner,
+    QueueFull,
+    host_campaigns,
+    log_error,
+    logger,
+    start_front_end,
+    stop_front_end,
 )
-from repro.store.serialize import jsonable
+from repro.store.findings import FindingsStore, wait_for_events
+from repro.store.runner import config_from_json
 
 #: submission keys that are budget/run options rather than config fields.
 _SUBMISSION_KEYS = {"rounds", "duration_seconds", "preseed"}
@@ -69,6 +76,28 @@ _SERVER_ONLY_FIELDS = {"trace_file"}
 #: default/maximum long-poll wait, seconds.
 _DEFAULT_WAIT = 25.0
 _MAX_WAIT = 60.0
+
+#: largest request body the server reads, bytes (a submission is < 1 KiB).
+MAX_BODY_BYTES = 1 << 20
+
+
+class RequestError(Exception):
+    """A request answered with ``status`` and a JSON error body."""
+
+    def __init__(self, status: int, message: str, headers: dict[str, str] | None = None):
+        super().__init__(message)
+        self.status = status
+        self.headers = headers or {}
+
+
+def check_workers(workers: int) -> None:
+    """The service runs a campaign's shards on one thread of its campaign
+    host, which must not fork a shard pool (:mod:`repro.service.processes`)."""
+    if workers != 1:
+        raise ValueError(
+            "workers must be 1: the service runs a campaign's shards one after"
+            " another on one thread (spatter --store --workers N runs a shard pool)"
+        )
 
 
 def validate_config(config: CampaignConfig) -> None:
@@ -101,8 +130,7 @@ def validate_config(config: CampaignConfig) -> None:
         known = set(oracle_names())
         for name in config.oracles:
             _membership(name, known, "oracle")
-    if config.workers < 1:
-        raise ValueError("workers must be at least 1")
+    check_workers(config.workers)
     if config.shards is not None and config.shards < 1:
         raise ValueError("shards must be at least 1")
 
@@ -136,88 +164,8 @@ def parse_submission(body) -> tuple[CampaignConfig, int | None, float | None, bo
     return config, rounds, duration, bool(body.get("preseed", False))
 
 
-class CampaignRunner:
-    """Background execution of submitted campaigns, one daemon thread each.
-
-    The store row is the source of truth for campaign status (it survives
-    process death; the thread registry does not) — the registry only
-    answers "is this campaign being executed by *this* service process
-    right now?", which gates double-resume races.
-    """
-
-    def __init__(self, store_path: str):
-        self.store_path = store_path
-        self._threads: dict[str, threading.Thread] = {}
-        self._lock = threading.Lock()
-
-    def is_active(self, campaign_id: str) -> bool:
-        with self._lock:
-            thread = self._threads.get(campaign_id)
-        return thread is not None and thread.is_alive()
-
-    def _track(self, campaign_id: str, target, *args) -> None:
-        thread = threading.Thread(
-            target=target, args=args, daemon=True, name=f"campaign-{campaign_id}"
-        )
-        with self._lock:
-            self._threads[campaign_id] = thread
-        thread.start()
-
-    def submit(
-        self,
-        config: CampaignConfig,
-        rounds: int | None = None,
-        duration_seconds: float | None = None,
-        preseed: bool = False,
-    ) -> str:
-        """Register the campaign row synchronously, run it asynchronously."""
-        if rounds is None and duration_seconds is None:
-            rounds = 5
-        campaign_id = new_campaign_id()
-        with FindingsStore(self.store_path) as store:
-            store.create_campaign(
-                campaign_id,
-                jsonable(asdict(config)),
-                config.seed,
-                target_rounds=rounds,
-                target_duration=duration_seconds,
-            )
-        self._track(campaign_id, self._run, campaign_id, config, rounds, duration_seconds, preseed)
-        return campaign_id
-
-    def _run(self, campaign_id, config, rounds, duration_seconds, preseed) -> None:
-        try:
-            run_store_campaign(
-                self.store_path,
-                config,
-                rounds=rounds,
-                duration_seconds=duration_seconds,
-                campaign_id=campaign_id,
-                preseed=preseed,
-                register=False,
-            )
-        except Exception:  # noqa: BLE001 - the store row already says "failed"
-            pass
-
-    def resume(
-        self,
-        campaign_id: str,
-        rounds: int | None = None,
-        duration_seconds: float | None = None,
-    ) -> None:
-        self._track(campaign_id, self._resume, campaign_id, rounds, duration_seconds)
-
-    def _resume(self, campaign_id, rounds, duration_seconds) -> None:
-        try:
-            resume_store_campaign(
-                self.store_path, campaign_id, rounds=rounds, duration_seconds=duration_seconds
-            )
-        except Exception:  # noqa: BLE001 - the store row already says "failed"
-            pass
-
-
 class ControlPlaneServer(ThreadingHTTPServer):
-    """One service process: HTTP threads + campaign worker threads."""
+    """HTTP threads + the campaign runner (in a front end, its stand-in)."""
 
     daemon_threads = True
     allow_reuse_address = True
@@ -227,6 +175,11 @@ class ControlPlaneServer(ThreadingHTTPServer):
         self.store_path = store_path
         self.runner = CampaignRunner(store_path)
         self.verbose = verbose
+
+    def server_close(self) -> None:
+        """Stop listening and admit no more campaigns."""
+        super().server_close()
+        self.runner.close()
 
 
 class ControlPlaneHandler(BaseHTTPRequestHandler):
@@ -262,19 +215,44 @@ class ControlPlaneHandler(BaseHTTPRequestHandler):
             self._connection_store = FindingsStore(self.server.store_path)
         return self._connection_store
 
-    def _send_json(self, payload, status: int = 200) -> None:
+    def _send_json(
+        self, payload, status: int = 200, headers: dict[str, str] | None = None
+    ) -> None:
         body = json.dumps(payload, sort_keys=True, indent=2).encode("utf-8") + b"\n"
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_error_json(self, message: str, status: int) -> None:
-        self._send_json({"error": message}, status=status)
+    def _send_error_json(
+        self, message: str, status: int, headers: dict[str, str] | None = None
+    ) -> None:
+        self._send_json({"error": message}, status=status, headers=headers)
 
     def _read_body(self):
-        length = int(self.headers.get("Content-Length") or 0)
+        """The JSON request body; a bad or too large ``Content-Length`` is
+        refused unread, and the connection closes, since the unread body
+        would otherwise be taken for the next request."""
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise RequestError(
+                400,
+                f"Content-Length must be a non-negative integer, not {header!r}",
+                {"Connection": "close"},
+            )
+        if length > MAX_BODY_BYTES:
+            raise RequestError(
+                413,
+                f"request body of {length} bytes exceeds the limit of {MAX_BODY_BYTES}",
+                {"Connection": "close"},
+            )
         raw = self.rfile.read(length) if length > 0 else b""
         if not raw:
             return {}
@@ -300,12 +278,19 @@ class ControlPlaneHandler(BaseHTTPRequestHandler):
     def _dispatch(self, route) -> None:
         try:
             route()
+        except RequestError as error:
+            self._send_error_json(str(error), status=error.status, headers=error.headers)
+        except QueueFull as error:
+            headers = {"Retry-After": str(RETRY_AFTER_SECONDS)}
+            self._send_error_json(str(error), status=429, headers=headers)
         except ValueError as error:
             self._send_error_json(str(error), status=400)
         except (BrokenPipeError, ConnectionResetError):  # client went away
             pass
         except Exception:  # noqa: BLE001 - a handler bug must not kill the thread
-            self._send_error_json(traceback.format_exc(limit=5), status=500)
+            # the traceback goes to the server log, never to the client
+            error_id = log_error("%s %s failed", self.command, self.path)
+            self._send_json({"error": "internal error", "error_id": error_id}, status=500)
 
     # ------------------------------------------------------------------- GET
     def _route_get(self) -> None:
@@ -350,7 +335,7 @@ class ControlPlaneHandler(BaseHTTPRequestHandler):
             "novel_findings": store.novel_finding_count(campaign_id),
         }
         campaign["arm_stats"] = store.campaign_arm_stats(campaign_id)
-        campaign["active"] = self.server.runner.is_active(campaign_id)
+        campaign["active"] = self.server.runner.is_active(campaign_id, campaign["status"])
         self._send_json(campaign)
 
     def _get_campaign_findings(self, campaign_id: str) -> None:
@@ -414,10 +399,10 @@ class ControlPlaneHandler(BaseHTTPRequestHandler):
 
     def _post_campaign(self) -> None:
         config, rounds, duration, preseed = parse_submission(self._read_body())
-        campaign_id = self.server.runner.submit(
+        campaign_id, status = self.server.runner.submit(
             config, rounds=rounds, duration_seconds=duration, preseed=preseed
         )
-        self._send_json({"id": campaign_id, "status": "running"}, status=202)
+        self._send_json({"id": campaign_id, "status": status}, status=202)
 
     def _post_resume(self, campaign_id: str) -> None:
         body = self._read_body()
@@ -435,17 +420,18 @@ class ControlPlaneHandler(BaseHTTPRequestHandler):
                 f"campaign {campaign_id!r} already completed; submit a new campaign", status=409
             )
             return
-        if self.server.runner.is_active(campaign_id):
-            self._send_error_json(
-                f"campaign {campaign_id!r} is already running in this service", status=409
-            )
-            return
-        self.server.runner.resume(
+        check_workers(config_from_json(campaign["config"]).workers)
+        status = self.server.runner.resume(
             campaign_id,
             rounds=body.get("rounds"),
             duration_seconds=body.get("duration_seconds"),
         )
-        self._send_json({"id": campaign_id, "status": "resuming"}, status=202)
+        if status is None:
+            self._send_error_json(
+                f"campaign {campaign_id!r} is already running in this service", status=409
+            )
+            return
+        self._send_json({"id": campaign_id, "status": status}, status=202)
 
 
 def create_server(
@@ -478,8 +464,20 @@ def build_serve_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt
+
+
 def serve_main(argv: list[str] | None = None) -> int:
-    """``spatter serve`` entry point; blocks until interrupted."""
+    """``spatter serve`` entry point; blocks until SIGINT or SIGTERM.
+
+    This process hosts the campaigns and a forked front end answers HTTP
+    (:mod:`repro.service.processes`); where ``os.fork`` is missing, this
+    process does both.  Either signal raises :class:`KeyboardInterrupt`
+    here; the shutdown kills and reaps the front end and leaves running
+    campaigns ``running`` in the store.  Returns 1 if the front end died
+    first.
+    """
     arguments = build_serve_parser().parse_args(argv)
     server = create_server(
         arguments.store, host=arguments.host, port=arguments.port, verbose=arguments.verbose
@@ -491,10 +489,25 @@ def serve_main(argv: list[str] | None = None) -> int:
         f"spatter service listening on http://{host}:{port} (store: {arguments.store})",
         flush=True,
     )
+    signal.signal(signal.SIGTERM, _interrupt)
+    front_end = None
     try:
-        server.serve_forever()
+        if not hasattr(os, "fork"):
+            server.serve_forever()
+            return 0
+        front_end, connection = start_front_end(server)
+        host_campaigns(connection, server.runner)
+        logger.error("the front end exited; stopping the service")
+        return 1
     except KeyboardInterrupt:
-        pass
+        return 0
     finally:
+        # a second signal must not cut the shutdown short
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        if front_end is not None:
+            stop_front_end(front_end)
+            # the front end's store connections died open: the last
+            # connection to close folds the write-ahead log into the store
+            FindingsStore(arguments.store).close()
         server.server_close()
-    return 0

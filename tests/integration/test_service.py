@@ -26,6 +26,7 @@ import pytest
 
 from repro.service import app as service_app
 from repro.service import create_server
+from repro.service.app import MAX_BODY_BYTES
 from repro.store.findings import FindingsStore
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -224,6 +225,57 @@ class TestErrorPaths:
 
     def test_healthz(self, service):
         assert get(service, "/healthz")["status"] == "ok"
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_workers_other_than_one_is_400(self, service, workers):
+        message = self.expect_error(
+            lambda: post(service, "/campaigns", {**SUBMISSION, "workers": workers}), 400
+        )
+        assert "workers must be 1" in message
+
+    def _raw_post(self, base: str, content_length: str):
+        """POST headers only, with the given ``Content-Length``; no body."""
+        connection = keep_alive(base)
+        connection.timeout = 5  # a server that waits for the body fails here
+        try:
+            connection.putrequest("POST", "/campaigns")
+            connection.putheader("Content-Type", "application/json")
+            connection.putheader("Content-Length", content_length)
+            connection.endheaders()
+            response = connection.getresponse()
+            return response.status, response.getheader("Connection"), json.loads(response.read())
+        finally:
+            connection.close()
+
+    def test_body_over_the_cap_is_413_unread(self, service):
+        status, connection, body = self._raw_post(service, str(MAX_BODY_BYTES + 1))
+        assert status == 413
+        assert connection == "close"
+        assert str(MAX_BODY_BYTES) in body["error"]
+
+    @pytest.mark.parametrize("length", ["-1", "twelve"])
+    def test_bad_content_length_is_400(self, service, length):
+        status, connection, body = self._raw_post(service, length)
+        assert status == 400
+        assert connection == "close"
+        assert "Content-Length" in body["error"]
+
+    def test_handler_error_is_500_with_an_error_id(self, service, monkeypatch, caplog):
+        def broken_stats(store):
+            raise RuntimeError("secret internal detail")
+
+        monkeypatch.setattr(FindingsStore, "stats", broken_stats)
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            get(service, "/stats")
+        assert excinfo.value.code == 500
+        text = excinfo.value.read().decode("utf-8")
+        excinfo.value.close()
+        body = json.loads(text)
+        assert body["error"] == "internal error"
+        assert len(body["error_id"]) == 12
+        assert "Traceback" not in text and "secret internal detail" not in text
+        logged = [r for r in caplog.records if body["error_id"] in r.getMessage()]
+        assert logged and logged[0].exc_info is not None
 
 
 def keep_alive(base: str) -> http.client.HTTPConnection:

@@ -208,3 +208,43 @@ class TestIndexPaths:
         assert buggy.query_value(query) == 1  # seq scan still correct
         buggy.execute("SET enable_seqscan = false")
         assert buggy.query_value(query) == 0  # index path lost the EMPTY row
+
+
+class TestPathFlags:
+    """The executor holds the one copy of the path flags; the database's
+    attributes read and write it."""
+
+    QUERY = (
+        "SELECT COUNT(*) FROM t WHERE "
+        "ST_Intersects(g, ST_GeomFromText('POLYGON((0 0,2 0,2 2,0 2,0 0))'))"
+    )
+
+    def _database(self):
+        database = connect("postgis")
+        database.execute("CREATE TABLE t (g geometry)")
+        database.execute(
+            "INSERT INTO t (g) VALUES ('POINT(1 1)'), ('POINT(5 5)'), ('POINT(9 9)')"
+        )
+        return database
+
+    def test_database_fast_path_off_stops_envelope_queries(self):
+        from repro.geometry.columnar import clear_kernel_stats, kernel_stats
+
+        database = self._database()
+        clear_kernel_stats()
+        assert database.query_value(self.QUERY) == 1
+        assert kernel_stats()["envelope_queries"] > 0  # the prefilter ran
+
+        database.fast_path = False
+        assert database.executor.fast_path is False
+        clear_kernel_stats()
+        assert database.query_value(self.QUERY) == 1
+        assert kernel_stats()["envelope_queries"] == 0
+
+    def test_database_vectorized_flag_is_the_executors(self):
+        database = self._database()
+        database.vectorized = False
+        assert database.executor.vectorized is False
+        database.executor.vectorized = True
+        assert database.vectorized is True
+        assert database.clone_empty().vectorized is True
