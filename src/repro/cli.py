@@ -316,8 +316,9 @@ def main(argv: list[str] | None = None) -> int:
 
     if arguments.rounds is not None and arguments.rounds < 0:
         parser.error("--rounds must be non-negative")
-    if arguments.workers < 1:
-        parser.error("--workers must be at least 1")
+    for flag in ("tables", "geometries", "queries", "workers"):
+        if getattr(arguments, flag) < 1:
+            parser.error(f"--{flag} must be at least 1")
     if arguments.shards is not None and arguments.shards < 1:
         parser.error("--shards must be at least 1")
     if arguments.resume is not None and arguments.store is None:

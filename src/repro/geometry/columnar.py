@@ -93,6 +93,11 @@ _KERNEL_STATS = {
     "envelope_queries": 0,
     "distance_queries": 0,
     "prepared_descriptors": 0,
+    "relate_nodes_from_view": 0,
+    "relate_nodes_from_edge": 0,
+    "relate_nodes_located": 0,
+    "relate_pieces_from_endpoint": 0,
+    "relate_pieces_from_midpoint": 0,
 }
 
 
@@ -110,6 +115,24 @@ def count_prepared_descriptor() -> None:
     """Count one per-geometry prepared view
     (:class:`repro.topology.labels.PreparedTopology`)."""
     _KERNEL_STATS["prepared_descriptors"] += 1
+
+
+def count_class_sources(
+    view_nodes: int,
+    edge_nodes: int,
+    located_nodes: int,
+    endpoint_pieces: int,
+    midpoint_pieces: int,
+) -> None:
+    """Count where the prepared relate path took one operand's classes
+    from: pair nodes from the operand's node table, from an edge's ``on``
+    label or by location; the other operand's one-operand pieces from a
+    free endpoint or a located midpoint."""
+    _KERNEL_STATS["relate_nodes_from_view"] += view_nodes
+    _KERNEL_STATS["relate_nodes_from_edge"] += edge_nodes
+    _KERNEL_STATS["relate_nodes_located"] += located_nodes
+    _KERNEL_STATS["relate_pieces_from_endpoint"] += endpoint_pieces
+    _KERNEL_STATS["relate_pieces_from_midpoint"] += midpoint_pieces
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +204,12 @@ def _hits_by_row(mask) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-class _EdgeTable:
-    """Per-edge float mirrors (with bounds) of a fixed segment list."""
+class EdgeTable:
+    """Per-edge float mirrors (with bounds) of a fixed segment list.
+
+    Built once per segment list: each locator keeps its own, and a
+    prepared relate operand keeps one over all its segments for the
+    pair prescreen (:func:`segment_block_candidates`)."""
 
     def __init__(self, edges: Sequence[Segment]):
         self.edges = list(edges)
@@ -345,7 +372,7 @@ class RingLocator:
         if points and points[0] != points[-1]:
             points = points + [points[0]]
         edges = list(zip(points, points[1:]))
-        self._table = _EdgeTable(edges) if edges else None
+        self._table = EdgeTable(edges) if edges else None
 
     def locate_many(
         self, points: Sequence[Coordinate], columns: "PointColumns | None" = None
@@ -416,7 +443,7 @@ class SegmentsLocator:
 
     def __init__(self, segments: Sequence[Segment]):
         self._segments = list(segments)
-        self._table = _EdgeTable(self._segments) if self._segments else None
+        self._table = EdgeTable(self._segments) if self._segments else None
 
     def contains_many(
         self, points: Sequence[Coordinate], columns: "PointColumns | None" = None
@@ -482,32 +509,70 @@ def segment_pair_candidates(
     _KERNEL_STATS["noding_prescreens"] += 1
     n = len(segments)
     _KERNEL_STATS["noding_pairs_total"] += n * (n - 1)
-    table = _EdgeTable(segments)
+    table = EdgeTable(segments)
+    disjoint = _boxes_apart(table, table)
+    same_side, straddles = _endpoint_sides(table, table)
+    reject = disjoint | disjoint.T | same_side | same_side.T
+    np.fill_diagonal(reject, True)
+    _KERNEL_STATS["noding_pairs_pruned"] += int(reject.sum()) - n
+    return _candidate_rows(reject, straddles & straddles.T)
 
-    # Certainly-disjoint bounding boxes, per ordered pair (i, j).
-    disjoint = (
-        (table.minx_lo[:, None] > table.maxx_hi[None, :])
-        | (table.miny_lo[:, None] > table.maxy_hi[None, :])
+
+def segment_block_candidates(
+    first: EdgeTable | None, second: EdgeTable | None
+) -> list[list[tuple[int, bool]]] | None:
+    """:func:`segment_pair_candidates` for the pairs that take one segment
+    from each of two tables: per segment of ``first``, its candidate
+    partners ``(index in second, certainly_proper)``.
+
+    Each test reads only the ``len(first) × len(second)`` block — the
+    first table's endpoints against the second's lines and the second's
+    endpoints against the first's — and gives the same candidates and
+    certificates as the pairwise prescreen over both lists would for
+    those pairs.  ``None`` when the kernels are off or a table is
+    missing (an operand with no segments: there are no pairs).
+    """
+    if not vectorized_kernels_enabled() or first is None or second is None:
+        return None
+    _KERNEL_STATS["noding_prescreens"] += 1
+    _KERNEL_STATS["noding_pairs_total"] += len(first.edges) * len(second.edges)
+    first_sides, first_straddles = _endpoint_sides(first, second)
+    second_sides, second_straddles = _endpoint_sides(second, first)
+    reject = (
+        _boxes_apart(first, second)
+        | _boxes_apart(second, first).T
+        | first_sides
+        | second_sides.T
     )
-    disjoint = disjoint | disjoint.T
+    _KERNEL_STATS["noding_pairs_pruned"] += int(reject.sum())
+    return _candidate_rows(reject, first_straddles & second_straddles.T)
 
-    # M1[i, j] / M2[i, j]: orientation of segment i's endpoints relative to
-    # segment j's supporting line (the d1/d2 of segment_intersection).
-    m1v, m1e = table.cross_matrix(table.axv, table.axe, table.ayv, table.aye)
-    m2v, m2e = table.cross_matrix(table.bxv, table.bxe, table.byv, table.bye)
+
+def _boxes_apart(first: EdgeTable, second: EdgeTable):
+    """Mask ``[i, j]``: edge ``i`` of ``first`` lies certainly left of or
+    below edge ``j`` of ``second`` (one half of bounding-box disjointness)."""
+    return (first.minx_lo[:, None] > second.maxx_hi[None, :]) | (
+        first.miny_lo[:, None] > second.maxy_hi[None, :]
+    )
+
+
+def _endpoint_sides(segments: EdgeTable, lines: EdgeTable):
+    """``(same_side, straddles)`` masks ``[i, j]``: both endpoints of
+    segment ``i`` lie certainly strictly on one side of line ``j``'s
+    supporting line, or certainly on opposite sides (the d1/d2 of
+    segment_intersection)."""
+    m1v, m1e = lines.cross_matrix(segments.axv, segments.axe, segments.ayv, segments.aye)
+    m2v, m2e = lines.cross_matrix(segments.bxv, segments.bxe, segments.byv, segments.bye)
     pos1, neg1 = m1v > m1e, m1v < -m1e
     pos2, neg2 = m2v > m2e, m2v < -m2e
-    same_side = (pos1 & pos2) | (neg1 & neg2)
-    straddles = (pos1 & neg2) | (neg1 & pos2)
-    proper = straddles & straddles.T
+    return (pos1 & pos2) | (neg1 & neg2), (pos1 & neg2) | (neg1 & pos2)
 
-    reject = disjoint | same_side | same_side.T
-    np.fill_diagonal(reject, True)
-    candidate = ~reject
-    _KERNEL_STATS["noding_pairs_pruned"] += int(reject.sum()) - n
+
+def _candidate_rows(reject, proper) -> list[list[tuple[int, bool]]]:
+    """Per row, the ``(column, proper)`` pairs a prescreen did not reject."""
     proper_rows = proper.tolist()
     return [
-        [(j, proper_rows[i][j]) for j in row] for i, row in enumerate(_hits_by_row(candidate))
+        [(j, proper_rows[i][j]) for j in row] for i, row in enumerate(_hits_by_row(~reject))
     ]
 
 

@@ -133,6 +133,12 @@ def validate_config(config: CampaignConfig) -> None:
     check_workers(config.workers)
     if config.shards is not None and config.shards < 1:
         raise ValueError("shards must be at least 1")
+    for field in ("table_count", "geometry_count", "queries_per_round"):
+        value = getattr(config, field)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{field} must be an integer")
+        if value < 1:
+            raise ValueError(f"{field} must be at least 1")
 
 
 def parse_submission(body) -> tuple[CampaignConfig, int | None, float | None, bool]:

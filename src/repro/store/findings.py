@@ -196,6 +196,7 @@ class FindingsStore:
         config reports zero globally-novel findings").
         """
         signature = record["signature"]
+        payload = json.dumps(record, sort_keys=True)
         with self.transaction():
             cursor = self.connection.execute(
                 "INSERT OR IGNORE INTO findings (signature, campaign_id, kind, scenario,"
@@ -209,20 +210,21 @@ class FindingsStore:
                     record.get("oracle"),
                     record.get("label"),
                     json.dumps(record.get("bug_ids", []), sort_keys=True),
-                    json.dumps(record, sort_keys=True),
+                    payload,
                     _now(),
                 ),
             )
             novel = cursor.rowcount == 1
             self.connection.execute(
                 "INSERT INTO sightings (campaign_id, shard_index, signature, kind,"
-                " novel, created_at) VALUES (?, ?, ?, ?, ?, ?)",
+                " novel, payload_json, created_at) VALUES (?, ?, ?, ?, ?, ?, ?)",
                 (
                     campaign_id,
                     shard_index,
                     signature,
                     record.get("kind", "finding"),
                     1 if novel else 0,
+                    payload,
                     _now(),
                 ),
             )
@@ -230,9 +232,12 @@ class FindingsStore:
 
     def campaign_findings(self, campaign_id: str) -> list[dict]:
         """Every finding the campaign observed (novel or not), in sighting
-        order, each carrying the corpus payload plus its novelty verdict."""
+        order, each carrying its own payload plus its novelty verdict (a
+        sighting stored before schema version 2 carries its signature's
+        corpus payload)."""
         rows = self.connection.execute(
-            "SELECT s.signature, s.shard_index, s.novel, s.created_at, f.payload_json"
+            "SELECT s.signature, s.shard_index, s.novel, s.created_at,"
+            " COALESCE(s.payload_json, f.payload_json) AS payload_json"
             " FROM sightings s JOIN findings f ON f.signature = s.signature"
             " WHERE s.campaign_id = ? ORDER BY s.id",
             (campaign_id,),

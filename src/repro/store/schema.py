@@ -13,8 +13,10 @@ Six tables on stdlib ``sqlite3``:
   pattern).  The row remembers which campaign first produced it and the
   full JSON projection of that first sighting.
 * ``sightings`` — every observation, novel or not, keyed to its campaign
-  and shard: what ``GET /campaigns/{id}/findings`` lists, and the
-  denominator of the global dedup statistics.
+  and shard, with the JSON projection of that observation itself: what
+  ``GET /campaigns/{id}/findings`` lists, and the denominator of the
+  global dedup statistics.  (Rows written before version 2 carry no
+  payload and read their signature's corpus payload.)
 * ``arm_stats`` — per-(campaign, shard, arm) scheduler counters; readers
   merge across shards by summation exactly like
   :func:`repro.core.scheduler.merge_scheduler_stats`.
@@ -112,6 +114,11 @@ MIGRATIONS: tuple[str, ...] = (
         updated_at       TEXT NOT NULL,
         PRIMARY KEY (campaign_id, shard_index)
     );
+    """,
+    # v2: each sighting keeps its own payload; a second finding under a
+    # stored signature (the same shape on other tables) differs in detail.
+    """
+    ALTER TABLE sightings ADD COLUMN payload_json TEXT;
     """,
 )
 

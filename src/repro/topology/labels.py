@@ -40,6 +40,7 @@ from repro.geometry.model import (
     Polygon,
 )
 from repro.geometry.columnar import (
+    EdgeTable,
     PointColumns,
     RingLocator,
     SegmentsLocator,
@@ -450,13 +451,20 @@ class PreparedTopology:
       end, endpoints included;
     * ``labels[i][k]`` — the ``(left, on, right)`` classes of the
       self-noded edge ``splits[i][k]``–``splits[i][k + 1]``, oriented along
-      segment ``i``.
+      segment ``i``;
+    * ``node_classes`` — the class of every node of the arrangement (each
+      split point and isolated point), located once;
+    * ``edge_table`` — the float edge table over ``segments`` that the
+      pair prescreen reads (``None`` without segments).
 
     The locator is constant on the open edges and faces of the geometry's
     own arrangement, so the labels hold along the whole edge: ``on`` is
     located at the edge's midpoint and ``left``/``right`` at the existing
     side-offset witnesses of that arrangement, which lie strictly inside
-    its faces (the locators' face-interior certificate).
+    its faces (the locators' face-interior certificate).  A node has no
+    such certificate: it is located itself, and its class need not be any
+    adjacent edge's ``on`` (a line's mod-2 boundary endpoint, a
+    collection's line ending on its polygon's edge).
     """
 
     def __init__(self, descriptor: TopologyDescriptor):
@@ -479,9 +487,11 @@ class PreparedTopology:
         for edge in edges:
             witnesses.extend(side_offsets(edge, edges, nodes, context=context))
         witnesses.extend(midpoint(start, end) for start, end in edges)
+        node_list = list(nodes)
+        witnesses.extend(node_list)
         count = len(edges)
         classes = descriptor.locate_many(
-            witnesses, [True] * (2 * count) + [False] * count
+            witnesses, [True] * (2 * count) + [False] * (count + len(node_list))
         )
         oriented: dict[Segment, EdgeLabel] = {}
         for index, (start, end) in enumerate(edges):
@@ -493,20 +503,30 @@ class PreparedTopology:
             [oriented[edge] for edge in zip(ordered, ordered[1:])]
             for ordered in self.splits
         ]
+        self.node_classes = dict(zip(node_list, classes[3 * count :]))
+        self.edge_table = EdgeTable(self.segments) if self.segments else None
 
-    def pieces(self, cuts: Sequence[set[Coordinate]]) -> dict[Segment, EdgeLabel]:
+    def pieces(
+        self, cuts: Sequence[set[Coordinate]]
+    ) -> tuple[dict[Segment, EdgeLabel], dict[Coordinate, str]]:
         """The self-noded edges cut further at ``cuts[i]`` along segment
         ``i``: every piece, oriented along its segment, with the labels of
         the edge that contains it.  A piece two segments share is kept
-        once, in the orientation met first."""
+        once, in the orientation met first.
+
+        Also returns the class of each cut point that falls inside an edge
+        (not on a node): that edge's ``on`` label."""
         result: dict[Segment, EdgeLabel] = {}
+        inside: dict[Coordinate, str] = {}
         for (a, b), ordered, labels, extra in zip(
             self.segments, self.splits, self.labels, cuts
         ):
             for start, end, k in refine_split(a, b, ordered, extra):
                 if (end, start) not in result:
                     result.setdefault((start, end), labels[k])
-        return result
+                if extra and end != ordered[k + 1]:
+                    inside[end] = labels[k][1]
+        return result, inside
 
 
 def combine_classes(classes: Sequence[str], strategy: str) -> str:

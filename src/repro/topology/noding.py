@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.geometry.columnar import (
     ClearanceFilter,
+    segment_block_candidates,
     segment_pair_candidates,
     vectorized_kernels_enabled,
 )
@@ -40,6 +41,9 @@ from repro.geometry.primitives import (
     segment_point_squared_distance,
     squared_distance,
 )
+
+if TYPE_CHECKING:
+    from repro.topology.labels import PreparedTopology
 
 Segment = tuple[Coordinate, Coordinate]
 
@@ -72,7 +76,7 @@ def split_points(
     # no intersection point skip the exact test.
     candidates = segment_pair_candidates(segments)
     cuts = [{a, b} for a, b in segments]
-    _cut_pairs(segments, candidates, cuts, range(len(segments)), 0)
+    _cut_pairs(segments, candidates, cuts)
     _cut_at_points(segments, list(extra_points), cuts)
     fast = candidates is not None
     return [
@@ -81,51 +85,53 @@ def split_points(
 
 
 def cross_cut_points(
-    segments_a: Sequence[Segment],
-    points_a: Sequence[Coordinate],
-    segments_b: Sequence[Segment],
-    points_b: Sequence[Coordinate],
+    view_a: "PreparedTopology", view_b: "PreparedTopology"
 ) -> tuple[list[set[Coordinate]], list[set[Coordinate]]]:
-    """Where each operand cuts the other's segments.
+    """Where each prepared operand cuts the other's segments.
 
     Returns, per segment of A, the points where B's segments and isolated
     points meet it, and per segment of B the same for A.  Pairs within one
     operand are not intersected: a prepared operand already holds its own
-    cut points (:class:`repro.topology.labels.PreparedTopology`).
+    cut points (:class:`repro.topology.labels.PreparedTopology`).  The
+    float prescreen reads only the A×B block of segment pairs, from the
+    edge table each view builds once.
     """
-    segments = [*segments_a, *segments_b]
-    split = len(segments_a)
-    cuts: list[set[Coordinate]] = [set() for _ in segments]
-    _cut_pairs(segments, segment_pair_candidates(segments), cuts, range(split), split)
-    _cut_at_points(segments_a, points_b, cuts[:split])
-    _cut_at_points(segments_b, points_a, cuts[split:])
-    return cuts[:split], cuts[split:]
+    segments_a, segments_b = view_a.segments, view_b.segments
+    cuts_a: list[set[Coordinate]] = [set() for _ in segments_a]
+    cuts_b: list[set[Coordinate]] = [set() for _ in segments_b]
+    candidates = segment_block_candidates(view_a.edge_table, view_b.edge_table)
+    if candidates is None:
+        candidates = [[(other, False) for other in range(len(segments_b))]] * len(segments_a)
+    for index, (a, b) in enumerate(segments_a):
+        for other, certainly_proper in candidates[index]:
+            points = _pair_cut_points(a, b, *segments_b[other], certainly_proper)
+            cuts_a[index].update(points)
+            cuts_b[other].update(points)
+    _cut_at_points(segments_a, view_b.points, cuts_a)
+    _cut_at_points(segments_b, view_a.points, cuts_b)
+    return cuts_a, cuts_b
 
 
 def _cut_pairs(
     segments: Sequence[Segment],
     candidates: list[list[tuple[int, bool]]] | None,
     cuts: list[set[Coordinate]],
-    rows: Iterable[int],
-    first_partner: int,
 ) -> None:
     """Add the exact intersection points of segment pairs to both cut sets.
 
-    Visits each unordered pair ``(i, j)`` once, with ``i`` in ``rows`` and
-    ``j > i``, ``j >= first_partner``; ``candidates`` (from
-    :func:`segment_pair_candidates`) narrows the partners, ``None`` tests
-    every pair.
+    Visits each unordered pair ``(i, j)``, ``i < j``, once; ``candidates``
+    (from :func:`segment_pair_candidates`) narrows the partners, ``None``
+    tests every pair.
     """
     count = len(segments)
-    for index in rows:
-        a, b = segments[index]
+    for index, (a, b) in enumerate(segments):
         partners = (
-            ((other, False) for other in range(count))
+            ((other, False) for other in range(index + 1, count))
             if candidates is None
             else candidates[index]
         )
         for other, certainly_proper in partners:
-            if other <= index or other < first_partner:
+            if other <= index:
                 continue
             points = _pair_cut_points(a, b, *segments[other], certainly_proper)
             cuts[index].update(points)

@@ -27,12 +27,23 @@ exactly the dimension semantics of the DE-9IM dimension calculator D.
        class at s's midpoint — the open s lies in one open face of X's
        arrangement;
    (b) if s lies on X, X's classes on its two sides equal the side labels
-       of the X edge that contains s, with the directions aligned.
+       of the X edge that contains s, with the directions aligned;
+   (c) a node n of the pair that lies on X takes its class there from
+       X's own arrangement: a node of that arrangement (a split point or
+       an isolated point) the class the prepared view located for it, a
+       cut point inside an X edge that edge's ``on`` label.  The cross cut
+       puts every point where the other operand meets X's segments into
+       X's cut set, so a node found in neither table is off X and is
+       located;
+   (d) if s lies on the other operand only, its open interior meets none
+       of X's segments or points, so an endpoint of s that is off X lies
+       in the same open face of X's arrangement and gives X's class for
+       s, as its midpoint would in (a).
 
-   Nodes are located in both operands, and each sub-segment that lies on
-   one operand only has its midpoint located in the other; every
-   dimension-1 and dimension-2 entry then comes from edge labels, and no
-   side-offset point is built per pair.
+   Only the nodes off X, and the midpoints of one-operand sub-segments
+   with both endpoints on X, are located in X; every dimension-1 and
+   dimension-2 entry comes from edge labels, and no side-offset point is
+   built per pair.
 
 The scalar reference path (``set_vectorized_kernels(False)``) keeps the
 per-pair witness construction: node the union of both geometries' segments
@@ -52,7 +63,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.geometry.columnar import vectorized_kernels_enabled
+from repro.geometry.columnar import count_class_sources, vectorized_kernels_enabled
 from repro.geometry.model import Coordinate, Geometry
 from repro.topology.labels import (
     BOUNDARY,
@@ -60,6 +71,7 @@ from repro.topology.labels import (
     INTERIOR,
     UNION_STRATEGY,
     EdgeLabel,
+    PreparedTopology,
     Segment,
     TopologyDescriptor,
 )
@@ -274,11 +286,9 @@ def _relate_prepared(
     # Each operand's segments already hold their own cut points; cutting
     # them at the other operand's segments and points completes the
     # noding of the pair arrangement.
-    cuts_a, cuts_b = cross_cut_points(
-        view_a.segments, view_a.points, view_b.segments, view_b.points
-    )
-    pieces_a = view_a.pieces(cuts_a)
-    pieces_b = view_b.pieces(cuts_b)
+    cuts_a, cuts_b = cross_cut_points(view_a, view_b)
+    pieces_a, inside_a = view_a.pieces(cuts_a)
+    pieces_b, inside_b = view_b.pieces(cuts_b)
 
     nodes: set[Coordinate] = set(view_a.points)
     nodes.update(view_b.points)
@@ -308,23 +318,74 @@ def _relate_prepared(
         matrix.set(left_a, left_b, 2)
         matrix.set(right_a, right_b, 2)
 
-    # Nodes are located in both operands; a one-operand piece's midpoint
-    # only in the other operand, whose class holds on both of its sides.
+    # A one-operand piece's class in the other operand holds on both of
+    # its sides.
     node_list = list(nodes)
-    count = len(node_list)
-    classes_a = descriptor_a.locate_many(node_list + [midpoint(*piece) for piece in only_b])
-    classes_b = descriptor_b.locate_many(node_list + [midpoint(*piece) for piece in pieces_a])
-    for class_a, class_b in zip(classes_a[:count], classes_b[:count]):
+    nodes_in_a, only_b_in_a = _classes_in(descriptor_a, view_a, inside_a, node_list, only_b)
+    nodes_in_b, only_a_in_b = _classes_in(descriptor_b, view_b, inside_b, node_list, pieces_a)
+    for class_a, class_b in zip(nodes_in_a, nodes_in_b):
         matrix.set(class_a, class_b, 0)
-    for (left, on, right), class_b in zip(pieces_a.values(), classes_b[count:]):
+    for (left, on, right), class_b in zip(pieces_a.values(), only_a_in_b):
         matrix.set(on, class_b, 1)
         matrix.set(left, class_b, 2)
         matrix.set(right, class_b, 2)
-    for (left, on, right), class_a in zip(only_b.values(), classes_a[count:]):
+    for (left, on, right), class_a in zip(only_b.values(), only_b_in_a):
         matrix.set(class_a, on, 1)
         matrix.set(class_a, left, 2)
         matrix.set(class_a, right, 2)
     return matrix
+
+
+def _classes_in(
+    descriptor: TopologyDescriptor,
+    view: PreparedTopology,
+    inside: dict[Coordinate, str],
+    nodes: list[Coordinate],
+    pieces: Iterable[Segment],
+) -> tuple[list[str], list[str]]:
+    """Operand X's classes of the pair's ``nodes`` and of the other
+    operand's one-operand ``pieces``, by (c) and (d) of the module
+    docstring; ``inside`` maps the cut points inside X's edges to their
+    edges' ``on`` labels.  One batch locates what is left."""
+    own = view.node_classes
+    classes: dict[Coordinate, str] = {}
+    off: list[Coordinate] = []
+    from_view = 0
+    for node in nodes:
+        found = own.get(node)
+        if found is not None:
+            from_view += 1
+        else:
+            found = inside.get(node)
+            if found is None:
+                off.append(node)
+                continue
+        classes[node] = found
+    # Until the batch below, ``classes`` holds exactly the nodes on X.
+    free: list[Coordinate | None] = []
+    midpoints: list[Coordinate] = []
+    for start, end in pieces:
+        if start not in classes:
+            free.append(start)
+        elif end not in classes:
+            free.append(end)
+        else:
+            free.append(None)
+            midpoints.append(midpoint(start, end))
+    located = descriptor.locate_many(off + midpoints)
+    classes.update(zip(off, located))
+    located_midpoints = iter(located[len(off) :])
+    count_class_sources(
+        from_view,
+        len(nodes) - len(off) - from_view,
+        len(off),
+        len(free) - len(midpoints),
+        len(midpoints),
+    )
+    return (
+        [classes[node] for node in nodes],
+        [next(located_midpoints) if point is None else classes[point] for point in free],
+    )
 
 
 def _relate_by_witnesses(

@@ -132,6 +132,28 @@ class TestCampaignLifecycle:
         assert campaign["result"]["unique_signatures"] == payload["unique_signatures"]
         assert campaign["result"]["unique_bug_ids"] == payload["unique_bug_ids"]
 
+    def test_sightings_of_one_signature_are_served_with_their_own_payloads(self, service):
+        # seed 5 finds two set-theoretic signatures twice each, once on t1
+        # and once on t2: the second sighting must not read the first's
+        # corpus payload
+        _, body = post(service, "/campaigns", {**SUBMISSION, "seed": 5, "rounds": 40})
+        campaign = wait_until_terminal(service, body["id"])
+        assert campaign["status"] == "completed", campaign.get("error")
+        served = get(service, f"/campaigns/{body['id']}/findings")["findings"]
+        recorded = campaign["result"]["findings"]
+
+        def by_signature(records):
+            return sorted(
+                (record["signature"], json.dumps(strip_sighting_fields(record), sort_keys=True))
+                for record in records
+            )
+
+        assert by_signature(served) == by_signature(recorded)
+        payloads: dict[str, set[str]] = {}
+        for signature, payload in by_signature(recorded):
+            payloads.setdefault(signature, set()).add(payload)
+        assert any(len(distinct) > 1 for distinct in payloads.values())
+
     def test_second_submission_reports_zero_novel(self, service):
         _, first = post(service, "/campaigns", SUBMISSION)
         wait_until_terminal(service, first["id"])
@@ -232,6 +254,22 @@ class TestErrorPaths:
             lambda: post(service, "/campaigns", {**SUBMISSION, "workers": workers}), 400
         )
         assert "workers must be 1" in message
+
+    @pytest.mark.parametrize("field", ["table_count", "geometry_count", "queries_per_round"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_non_positive_counts_are_400(self, service, field, value):
+        message = self.expect_error(
+            lambda: post(service, "/campaigns", {**SUBMISSION, field: value}), 400
+        )
+        assert f"{field} must be at least 1" in message
+
+    @pytest.mark.parametrize("field", ["table_count", "geometry_count", "queries_per_round"])
+    @pytest.mark.parametrize("value", ["2", None, 2.5, True])
+    def test_non_integer_counts_are_400(self, service, field, value):
+        message = self.expect_error(
+            lambda: post(service, "/campaigns", {**SUBMISSION, field: value}), 400
+        )
+        assert f"{field} must be an integer" in message
 
     def _raw_post(self, base: str, content_length: str):
         """POST headers only, with the given ``Content-Length``; no body."""

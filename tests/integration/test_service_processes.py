@@ -26,6 +26,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.campaign import TestingCampaign
 from repro.core.canonical import clear_canonical_cache
 from repro.core.parallel import run_campaign
 from repro.geometry.cache import clear_geometry_cache
@@ -204,13 +205,18 @@ class TestConcurrentCampaigns:
             serial = serial_run(config, rounds=result["rounds"])
             assert_same_stream(base, campaign, serial)
 
-    def test_a_raising_campaign_fails_with_its_error(self, served, caplog):
+    def test_a_raising_campaign_fails_with_its_error(self, served, caplog, monkeypatch):
         base, _ = served
-        # table_count 0 passes validation and raises on the first round
-        _, body = post(base, "/campaigns", {**SMALL, "seed": 3, "rounds": 1, "table_count": 0})
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("round failed")
+
+        # the served campaign host runs its campaigns in this process
+        monkeypatch.setattr(TestingCampaign, "_run_round", fail)
+        _, body = post(base, "/campaigns", {**SMALL, "seed": 3, "rounds": 1})
         campaign = wait_until_terminal(base, body["id"])
         assert campaign["status"] == "failed"
-        assert campaign["error"].startswith("IndexError(")
+        assert campaign["error"].startswith("RuntimeError(")
         wait_until(
             lambda: [r for r in caplog.records if body["id"] in r.getMessage()],
             timeout=10,

@@ -16,6 +16,8 @@ counterpart on mixed, EMPTY and collection geometries:
 * ``segment_pair_candidates`` never prunes a pair that
   ``segment_intersection`` reports as intersecting, and its
   ``certainly_proper`` certificates are genuinely proper crossings;
+  ``segment_block_candidates`` gives the same answers over the block of
+  pairs between two segment lists;
 * ``ClearanceFilter`` keep-lists preserve the exact rational minimum
   positive clearance and never drop a zero-distance incidence;
 * ``EnvelopeBlock.intersecting`` has no false negatives against exact
@@ -23,9 +25,10 @@ counterpart on mixed, EMPTY and collection geometries:
   row that ``measures.dwithin`` accepts (EMPTY rows always survive, NULL
   rows never appear);
 * batch relate dispatch: ``relate_descriptors`` with the kernels on (the
-  prepared edge-label construction) equals the scalar path with the
-  kernels off (per-pair witnesses) on adversarial pairs, under all three
-  collection strategies;
+  prepared edge-label construction, with node and piece classes read from
+  the operands' own labels where they lie on them) equals the scalar path
+  with the kernels off (per-pair witnesses) on adversarial pairs, under
+  all three collection strategies;
 * Listing-7-style fault transparency: with injected GEOS/PostGIS
   collection bugs active, SQL predicate results *and the triggered-bug
   stream* are identical with the kernels on and off — the float kernels
@@ -42,11 +45,13 @@ from repro.engine.database import connect
 from repro.geometry.cache import clear_geometry_cache
 from repro.geometry.columnar import (
     ClearanceFilter,
+    EdgeTable,
     EnvelopeBlock,
     RingLocator,
     SegmentsLocator,
     clear_kernel_stats,
     kernel_stats,
+    segment_block_candidates,
     segment_pair_candidates,
     set_vectorized_kernels,
 )
@@ -286,6 +291,35 @@ def test_segment_pair_candidates_never_prunes_an_intersecting_pair():
     assert checked_pairs > 200  # the generator produced real intersections
     assert proper_pairs > 100  # and the certificate path was exercised
     assert _with_kernels(False, lambda: segment_pair_candidates(_segments(rng, 4))) is None
+
+
+def test_segment_block_candidates_equal_the_pairwise_prescreen_block():
+    """The two-table prescreen of a relate pair's cross cut gives, pair
+    for pair, the candidates and certificates that the pairwise prescreen
+    over both segment lists gives for the pairs taking one segment from
+    each list."""
+    rng = random.Random(60404)
+    candidates_seen = 0
+    for _ in range(CASES):
+        first = _segments(rng, rng.randint(1, 5))
+        second = _segments(rng, rng.randint(1, 5))
+        if rng.random() < 0.3:
+            # shared endpoints and a shared segment, reversed
+            second.append((first[0][1], _coordinate(rng)))
+            second.append((first[-1][1], first[-1][0]))
+        split = len(first)
+        pairwise = _with_kernels(True, lambda: segment_pair_candidates(first + second))
+        block = _with_kernels(
+            True, lambda: segment_block_candidates(EdgeTable(first), EdgeTable(second))
+        )
+        assert block == [
+            [(j - split, proper) for j, proper in row if j >= split] for row in pairwise[:split]
+        ]
+        candidates_seen += sum(len(row) for row in block)
+    assert candidates_seen > CASES
+    assert _with_kernels(
+        False, lambda: segment_block_candidates(EdgeTable(first), EdgeTable(second))
+    ) is None
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +593,17 @@ def test_batch_relate_dispatch_matches_scalar_relate():
     stats = kernel_stats()
     assert stats["prepared_descriptors"] > RELATE_CASES
     assert stats["ring_batches"] > 0
+    # ... and every source of a node or piece class was exercised: a view's
+    # own node table, an edge's on label, a free endpoint of a one-operand
+    # piece, and a located midpoint where both endpoints lie on the other
+    # operand.
+    for source in (
+        "relate_nodes_from_view",
+        "relate_nodes_from_edge",
+        "relate_pieces_from_endpoint",
+        "relate_pieces_from_midpoint",
+    ):
+        assert stats[source] >= 100, (source, stats[source])
 
 
 #: The collection-focused injected faults of the paper's listings: the

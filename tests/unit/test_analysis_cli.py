@@ -157,6 +157,14 @@ class TestCLI:
         assert main(["--list-oracles", "--rounds", "-3"]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag", ["--tables", "--geometries", "--queries", "--workers"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_counts_are_rejected(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([flag, value, "--rounds", "1"])
+        assert excinfo.value.code == 2
+        assert f"{flag} must be at least 1" in capsys.readouterr().err
+
     def test_unknown_oracle_selection_is_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["--oracles", "bogus"])

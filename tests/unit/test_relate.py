@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.geometry import load_wkt
-from repro.geometry.columnar import clear_kernel_stats, kernel_stats
+from repro.geometry.columnar import clear_kernel_stats, kernel_stats, set_vectorized_kernels
 from repro.topology.labels import (
     BOUNDARY,
     BOUNDARY_PRIORITY_STRATEGY,
@@ -23,6 +23,7 @@ from repro.topology.relate import (
     clear_relate_cache,
     relate,
     relate_cache_stats,
+    relate_descriptors,
 )
 
 
@@ -228,6 +229,12 @@ class TestDescriptor:
         assert descriptor.dimension == 2
 
 
+def node_classes(wkt: str, strategy: str = UNION_STRATEGY) -> dict[tuple, str]:
+    """``{(x, y): class}`` over the nodes of a geometry's own arrangement."""
+    view = TopologyDescriptor(load_wkt(wkt), strategy).prepared()
+    return {(node.x, node.y): cls for node, cls in view.node_classes.items()}
+
+
 def edge_labels(wkt: str, strategy: str = UNION_STRATEGY) -> dict[tuple, tuple[str, str, str]]:
     """``{((x0, y0), (x1, y1)): (left, on, right)}`` over a geometry's
     self-noded edges, each oriented along its segment."""
@@ -264,23 +271,119 @@ class TestPreparedTopology:
 
     @pytest.mark.parametrize(
         "strategy, on_both",
-        [(UNION_STRATEGY, INTERIOR), (BOUNDARY_PRIORITY_STRATEGY, BOUNDARY)],
+        [
+            (UNION_STRATEGY, INTERIOR),
+            (LAST_ONE_WINS_STRATEGY, INTERIOR),
+            (BOUNDARY_PRIORITY_STRATEGY, BOUNDARY),
+        ],
     )
     def test_collection_line_on_its_polygon_edge(self, strategy, on_both):
-        labels = edge_labels(
-            "GEOMETRYCOLLECTION(POLYGON((0 0,4 0,4 4,0 4,0 0)),LINESTRING(1 0,3 0))", strategy
-        )
+        wkt = "GEOMETRYCOLLECTION(POLYGON((0 0,4 0,4 4,0 4,0 0)),LINESTRING(1 0,3 0))"
+        labels = edge_labels(wkt, strategy)
         # The line cuts the polygon's bottom edge; where both lie, the
         # strategy decides the class on the edge, not beside it.
         assert labels[((0, 0), (1, 0))] == (INTERIOR, BOUNDARY, EXTERIOR)
         assert labels[((1, 0), (3, 0))] == (INTERIOR, on_both, EXTERIOR)
         assert labels[((3, 0), (4, 0))] == (INTERIOR, BOUNDARY, EXTERIOR)
+        # The line's ends are boundary of both elements, so of the
+        # collection under every strategy, whatever the edge between them
+        # reads: a node keeps its own located class.
+        classes = node_classes(wkt, strategy)
+        assert classes[(1, 0)] == classes[(3, 0)] == BOUNDARY
+        assert classes[(0, 0)] == classes[(4, 4)] == BOUNDARY
+
+    def test_line_endpoints_keep_their_mod2_class(self):
+        classes = node_classes("MULTILINESTRING((0 0,1 0),(1 0,2 0),(1 0,1 1))")
+        # (1 0) ends three elements: boundary under the mod-2 rule, though
+        # every edge at it is interior.
+        assert classes[(1, 0)] == BOUNDARY
+        assert classes[(0, 0)] == classes[(2, 0)] == classes[(1, 1)] == BOUNDARY
+        assert set(edge_labels("MULTILINESTRING((0 0,1 0),(1 0,2 0),(1 0,1 1))").values()) == {
+            (EXTERIOR, INTERIOR, EXTERIOR)
+        }
 
     def test_view_is_built_once_per_descriptor(self):
         descriptor = TopologyDescriptor(load_wkt("POLYGON((0 0,2 0,2 2,0 2,0 0))"))
         clear_kernel_stats()
         assert descriptor.prepared() is descriptor.prepared()
         assert kernel_stats()["prepared_descriptors"] == 1
+
+
+class TestLabelPropagation:
+    """Pair nodes on an operand read their class from its own labels, and a
+    one-operand piece reads its class in the other operand at an endpoint
+    off it; only the rest is located (the counters say which source)."""
+
+    @staticmethod
+    def relate_counting(wkt_a: str, wkt_b: str) -> tuple[str, dict[str, int]]:
+        a, b = load_wkt(wkt_a), load_wkt(wkt_b)
+        clear_relate_cache()
+        clear_kernel_stats()
+        matrix = relate(a, b)
+        stats = kernel_stats()
+        return str(matrix), {
+            key[len("relate_") :]: value
+            for key, value in stats.items()
+            if key.startswith("relate_")
+        }
+
+    def test_overlapping_squares_locate_only_the_other_corners(self):
+        matrix, sources = self.relate_counting(
+            "POLYGON((0 0,2 0,2 2,0 2,0 0))", "POLYGON((1 1,3 1,3 3,1 3,1 1))"
+        )
+        assert matrix == "212101212"
+        # 10 nodes in each operand: its own 4 corners from the view, the
+        # two crossings (2 1) and (1 2) from its edges' on labels, the
+        # other square's 4 corners located.  Every piece has a corner
+        # endpoint off the other square.
+        assert sources == {
+            "nodes_from_view": 8,
+            "nodes_from_edge": 4,
+            "nodes_located": 8,
+            "pieces_from_endpoint": 12,
+            "pieces_from_midpoint": 0,
+        }
+
+    def test_chord_locates_its_midpoint_only(self):
+        matrix, sources = self.relate_counting(
+            "LINESTRING(0 1,2 1)", "POLYGON((0 0,2 0,2 2,0 2,0 0))"
+        )
+        assert matrix == "1FFF0F212"
+        # Both chord ends lie on the square, so the chord's class in it is
+        # read at its located midpoint; the square's corners are located
+        # in the chord; the square's six pieces each have a corner off it.
+        assert sources == {
+            "nodes_from_view": 6,
+            "nodes_from_edge": 2,
+            "nodes_located": 4,
+            "pieces_from_endpoint": 6,
+            "pieces_from_midpoint": 1,
+        }
+
+    @pytest.mark.parametrize(
+        "strategy", [UNION_STRATEGY, LAST_ONE_WINS_STRATEGY, BOUNDARY_PRIORITY_STRATEGY]
+    )
+    def test_collection_line_on_its_polygon_edge_matches_the_witnesses(self, strategy):
+        collection = load_wkt(
+            "GEOMETRYCOLLECTION(POLYGON((0 0,4 0,4 4,0 4,0 0)),LINESTRING(1 0,3 0))"
+        )
+        for other in ("POINT(1 0)", "LINESTRING(0 0,2 0)", "POLYGON((1 -1,3 -1,3 0,1 0,1 -1))"):
+            geometry = load_wkt(other)
+
+            def matrix():
+                return str(
+                    relate_descriptors(
+                        TopologyDescriptor(collection, strategy),
+                        TopologyDescriptor(geometry, strategy),
+                    )
+                )
+
+            prepared = matrix()
+            previous = set_vectorized_kernels(False)
+            try:
+                assert prepared == matrix(), (other, strategy)
+            finally:
+                set_vectorized_kernels(previous)
 
 
 class TestRelateMemo:

@@ -8,6 +8,9 @@ cursor-based reads, and the per-arm scheduler stat merge.
 
 from __future__ import annotations
 
+import json
+import sqlite3
+
 import pytest
 
 from repro.core.campaign import CampaignConfig, CampaignResult
@@ -18,7 +21,7 @@ from repro.store import (
     accumulate_shard_result,
 )
 from repro.store.findings import wait_for_events
-from repro.store.schema import SCHEMA_VERSION
+from repro.store.schema import MIGRATIONS, SCHEMA_VERSION
 
 
 def record(signature: str, kind: str = "discrepancy", scenario: str = "topological-join",
@@ -64,6 +67,36 @@ class TestSchema:
     def test_wal_mode_is_active(self, store):
         mode = store.connection.execute("PRAGMA journal_mode").fetchone()[0]
         assert mode == "wal"
+
+    def test_version_1_store_upgrades_in_place_and_old_sightings_still_read(self, tmp_path):
+        path = str(tmp_path / "findings.db")
+        old = record("sig-a")
+        connection = sqlite3.connect(path)
+        connection.executescript(MIGRATIONS[0])
+        connection.execute("PRAGMA user_version = 1")
+        connection.execute(
+            "INSERT INTO campaigns (id, config_json, seed, created_at, updated_at)"
+            " VALUES ('one', '{}', 0, 'then', 'then')"
+        )
+        connection.execute(
+            "INSERT INTO findings (signature, campaign_id, kind, payload_json, created_at)"
+            " VALUES ('sig-a', 'one', 'discrepancy', ?, 'then')",
+            (json.dumps(old, sort_keys=True),),
+        )
+        connection.execute(
+            "INSERT INTO sightings (campaign_id, signature, kind, novel, created_at)"
+            " VALUES ('one', 'sig-a', 'discrepancy', 1, 'then')"
+        )
+        connection.commit()
+        connection.close()
+        with FindingsStore(path) as store:
+            version = store.connection.execute("PRAGMA user_version").fetchone()[0]
+            assert version == SCHEMA_VERSION == 2
+            later = {**record("sig-a"), "sql": "SELECT 2"}
+            assert store.record_finding("one", later) is False
+            findings = store.campaign_findings("one")
+        assert [f["sql"] for f in findings] == [None, "SELECT 2"]
+        assert [f["novel"] for f in findings] == [True, False]
 
 
 class TestCampaignRows:
@@ -123,6 +156,17 @@ class TestGlobalNovelty:
         assert [f["signature"] for f in findings] == ["sig-a", "sig-b", "sig-a"]
         assert [f["novel"] for f in findings] == [True, True, False]
         assert [f["shard_index"] for f in findings] == [0, 1, 1]
+
+    def test_sightings_of_one_signature_keep_their_own_payloads(self, store):
+        store.create_campaign("one", {}, 0)
+        first = {**record("sig-a"), "sql": "SELECT COUNT(*) FROM t1"}
+        second = {**record("sig-a"), "sql": "SELECT COUNT(*) FROM t2"}
+        assert store.record_finding("one", first) is True
+        assert store.record_finding("one", second) is False
+        findings = store.campaign_findings("one")
+        assert [f["sql"] for f in findings] == [first["sql"], second["sql"]]
+        # the corpus keeps the first sighting's payload
+        assert [f["sql"] for f in store.query_findings(signature="sig-a")] == [first["sql"]]
 
     def test_query_findings_filters(self, store):
         store.create_campaign("one", {}, 0)
